@@ -193,23 +193,11 @@ def compare_extended(a: InfoCardinality, b: InfoCardinality) -> str:
 
 
 def empty_set_cardinality() -> InfoCardinality:
-    return InfoCardinality(
-        alpha=0,
-        delta=0.0,
-        iota=0.0,
-        delta_exact=Fraction(0),
-        provenance={"alpha": "defined", "delta": "defined", "iota": "defined"},
-    )
+    return InfoCardinality(alpha=0, delta=0.0, iota=0.0, delta_exact=Fraction(0))
 
 
-def singleton_cardinality() -> InfoCardinality:
-    return InfoCardinality(
-        alpha=0,
-        delta=0.0,
-        iota=0.0,
-        delta_exact=Fraction(0),
-        provenance={"alpha": "defined", "delta": "defined", "iota": "defined"},
-    )
+# A single point is countable, has dimension 0 and carries no information.
+singleton_cardinality = empty_set_cardinality
 
 
 # name -> built-in grid construction backing the entry, for consistency checks

@@ -14,9 +14,10 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -59,6 +60,7 @@ from .grids import (
 from .montecarlo import RetentionConfig, run_trials
 from .zeros import (
     DEFAULT_BOUNDARY_TOL,
+    MIN_DIGITIZE_DPS,
     digit_stats,
     digitize,
     parse_zero_file,
@@ -92,29 +94,7 @@ def default_precision() -> int:
         raise InputError(f"FRACZETA_PRECISION must be an integer, got {raw!r}") from exc
 
 
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    precision_digits: int
-    seed: int | None = None
-    tool_version: str = __version__
-    timestamp: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat(timespec="seconds")
-    )
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "precision_digits": self.precision_digits,
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-        }
-
-
-def _manifest(args, **extra) -> RunManifest:
+def _manifest(args, digits: int, **extra) -> dict:
     params = {
         k: v
         for k, v in vars(args).items()
@@ -122,17 +102,29 @@ def _manifest(args, **extra) -> RunManifest:
     }
     params.update(extra)
     params = {k: (str(v) if isinstance(v, Fraction) else v) for k, v in params.items()}
-    return RunManifest(
-        command=args.command,
-        parameters=params,
-        precision_digits=getattr(args, "digits", None) or default_precision(),
-        seed=getattr(args, "seed", None),
-    )
+    # JSON output is strict, so a non-finite float flag is an input error
+    # even where the command does not use it
+    for k, v in params.items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise InputError(f"--{k.replace('_', '-')}: expected a finite number, got {v}")
+    return {
+        "command": args.command,
+        "parameters": params,
+        "seed": getattr(args, "seed", None),
+        "precision_digits": digits,
+        "tool_version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
 
 
-def _emit_json(args, manifest: RunManifest, result) -> None:
-    payload = {"manifest": manifest.to_dict(), "result": result}
-    _write_text(args, json.dumps(payload, indent=2) + "\n")
+def _manifest_comment(manifest: dict) -> str:
+    """The manifest as the text of a CSV artifact's leading '#' comment."""
+    return f"manifest: {json.dumps(manifest, allow_nan=False)}"
+
+
+def _emit_json(args, manifest: dict, result) -> None:
+    payload = {"manifest": manifest, "result": result}
+    _write_text(args, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _write_text(args, text: str) -> None:
@@ -150,18 +142,32 @@ def _mpf_str(value, digits: int) -> str:
         return mp.nstr(mp.mpf(value), digits)
 
 
-def _parse_fraction_list(text: str, flag: str) -> list[Fraction]:
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
+def _parse_list(text: str, flag: str, conv) -> list:
+    """Comma-separated values of ``flag`` through ``conv``; empty items are skipped."""
     try:
-        return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+        return [conv(tok.strip()) for tok in text.split(",") if tok.strip()]
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{flag}: cannot parse {text!r} as fractions") from exc
+        raise InputError(f"{flag}: cannot parse {text!r}") from exc
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(tok.strip()) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InputError(f"{flag}: cannot parse {text!r} as integers") from exc
+def _text_table(rows) -> list[str]:
+    """Left-aligned columns two spaces apart, a dashed rule under the header row."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return lines
+
+
+def _digitize(table, digits: int, tol: float = DEFAULT_BOUNDARY_TOL):
+    """Digitize at the working precision, raised to the digitizer's minimum."""
+    return digitize(table, precision_digits=max(digits, MIN_DIGITIZE_DPS), boundary_tol=tol)
 
 
 def _add_set_flags(parser: argparse.ArgumentParser) -> None:
@@ -184,16 +190,14 @@ def _spec_from_args(args, digits: int) -> GridSpec:
         table = parse_zero_file(args.zeros)
         if args.order == "random":
             table = reorder(table, "random", args.seed)
-        seq = digitize(table, precision_digits=max(digits, 40), boundary_tol=args.tol)
-        return make_zf_spec(seq)
+        return make_zf_spec(_digitize(table, digits, args.tol))
     if args.keep is None:
         raise InputError("--modq requires --keep with the residues to retain")
-    keep = _parse_int_list(args.keep, "--keep")
+    keep = _parse_list(args.keep, "--keep", int)
     return GridSpec(base=args.modq, label=f"mod{args.modq}", constant=tuple(keep))
 
 
-def cmd_construct(args) -> int:
-    digits = args.digits or default_precision()
+def cmd_construct(args, digits: int) -> int:
     spec = _spec_from_args(args, digits)
     stage = build_stage(spec, args.depth)
     if stage.interval_count > args.cap:
@@ -201,22 +205,19 @@ def cmd_construct(args) -> int:
             f"stage {args.depth} of '{spec.label}' has {stage.interval_count} "
             f"intervals, above the enumeration cap {args.cap}"
         )
-    manifest = _manifest(args, label=spec.label)
+    manifest = _manifest(args, digits, label=spec.label)
     if args.format == "json":
         _emit_json(args, manifest, stage_to_json(stage, cap=args.cap))
     else:
         buf = io.StringIO()
-        write_stage_csv(
-            stage, buf, comments=[f"manifest: {json.dumps(manifest.to_dict())}"]
-        )
+        write_stage_csv(stage, buf, comments=[_manifest_comment(manifest)])
         _write_text(args, buf.getvalue())
     return EXIT_OK
 
 
-def cmd_dimension(args) -> int:
-    digits = args.digits or default_precision()
+def cmd_dimension(args, digits: int) -> int:
     spec = _spec_from_args(args, digits)
-    manifest = _manifest(args, label=spec.label)
+    manifest = _manifest(args, digits, label=spec.label)
     if args.method == "similarity":
         est = similarity_dimension(ifs_of_grid(spec).ratios)
         result = {
@@ -228,15 +229,13 @@ def cmd_dimension(args) -> int:
     else:
         stage = build_stage(spec, args.depth)
         if args.scales:
-            scales = _parse_fraction_list(args.scales, "--scales")
+            scales = _parse_list(args.scales, "--scales", Fraction)
         else:
             scales = [Fraction(1, spec.base**k) for k in range(1, args.depth + 1)]
         est = box_dimension_fit(stage, scales)
         if args.points_csv:
             with open(args.points_csv, "w") as fp:
-                write_fit_points_csv(
-                    est, fp, comments=[f"manifest: {json.dumps(manifest.to_dict())}"]
-                )
+                write_fit_points_csv(est, fp, comments=[_manifest_comment(manifest)])
         result = {
             "method": est.method,
             "label": spec.label,
@@ -252,10 +251,9 @@ def cmd_dimension(args) -> int:
     return EXIT_OK
 
 
-def cmd_zeta(args) -> int:
-    digits = args.digits or default_precision()
+def cmd_zeta(args, digits: int) -> int:
     zv = zeta_euler_maclaurin(args.s, args.terms, args.k, digits)
-    manifest = _manifest(args)
+    manifest = _manifest(args, digits)
     result = {
         "s": str(zv.s),
         "value": _mpf_str(zv.value, digits),
@@ -280,11 +278,10 @@ def _load_table(args):
     return table
 
 
-def cmd_zeros_digitize(args) -> int:
-    digits = args.digits or default_precision()
+def cmd_zeros_digitize(args, digits: int) -> int:
     table = _load_table(args)
-    seq = digitize(table, precision_digits=max(digits, 40), boundary_tol=args.tol)
-    manifest = _manifest(args, ordering=table.ordering)
+    seq = _digitize(table, digits, args.tol)
+    manifest = _manifest(args, digits, ordering=table.ordering)
     if args.format == "json":
         result = {
             "precision_digits": seq.precision_digits,
@@ -303,8 +300,7 @@ def cmd_zeros_digitize(args) -> int:
         }
         _emit_json(args, manifest, result)
     else:
-        lines = [f"# manifest: {json.dumps(manifest.to_dict())}"]
-        lines.append("n,gamma,t,a,boundary_flag")
+        lines = [f"# {_manifest_comment(manifest)}", "n,gamma,t,a,boundary_flag"]
         for e in seq:
             lines.append(
                 f"{e.n},{e.gamma},{_mpf_str(e.t, seq.precision_digits)},{e.a},"
@@ -314,12 +310,11 @@ def cmd_zeros_digitize(args) -> int:
     return EXIT_OK
 
 
-def cmd_zeros_stats(args) -> int:
-    digits = args.digits or default_precision()
+def cmd_zeros_stats(args, digits: int) -> int:
     table = _load_table(args)
-    seq = digitize(table, precision_digits=max(digits, 40), boundary_tol=args.tol)
+    seq = _digitize(table, digits, args.tol)
     stats = digit_stats(seq)
-    manifest = _manifest(args, ordering=table.ordering)
+    manifest = _manifest(args, digits, ordering=table.ordering)
     result = {
         "length": len(seq),
         "counts": list(stats.counts),
@@ -332,17 +327,15 @@ def cmd_zeros_stats(args) -> int:
     return EXIT_OK
 
 
-def cmd_zeros_reorder(args) -> int:
+def cmd_zeros_reorder(args, digits: int) -> int:
     table = _load_table(args)
-    manifest = _manifest(args, ordering=table.ordering)
-    lines = [f"# manifest: {json.dumps(manifest.to_dict())}"]
-    lines.extend(table.gamma_strings)
+    manifest = _manifest(args, digits, ordering=table.ordering)
+    lines = [f"# {_manifest_comment(manifest)}", *table.gamma_strings]
     _write_text(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    digits = args.digits or default_precision()
+def cmd_compare(args, digits: int) -> int:
     entries = catalog_map(precision_digits=digits)
     missing = [n for n in (args.a, args.b) if n not in entries]
     if missing:
@@ -351,7 +344,7 @@ def cmd_compare(args) -> int:
         )
     a = entries[args.a].cardinality
     b = entries[args.b].cardinality
-    manifest = _manifest(args)
+    manifest = _manifest(args, digits)
     if args.extended:
         result = {"mode": "extended", "result": compare_extended(a, b)}
     else:
@@ -380,16 +373,13 @@ def _catalog_rows(digits: int):
     return rows
 
 
-def cmd_catalog(args) -> int:
-    digits = args.digits or default_precision()
+def cmd_catalog(args, digits: int) -> int:
     rows = _catalog_rows(digits)
-    manifest = _manifest(args)
+    manifest = _manifest(args, digits)
     if args.format == "json":
         _emit_json(args, manifest, rows)
         return EXIT_OK
-    # plain-text table layout
-    headers = ["Set", "alpha", "delta", "iota", "I(M)"]
-    table_rows = []
+    table_rows = [["Set", "alpha", "delta", "iota", "I(M)"]]
     for r in rows:
         delta_txt = f"{r['delta']:.6g}"
         if r["delta_exact"] and "/" in r["delta_exact"] and "log" in r["delta_exact"]:
@@ -404,17 +394,7 @@ def cmd_catalog(args) -> int:
                 f"({r['alpha']}, {r['delta']:.6g}, {iota_short})",
             ]
         )
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in table_rows))
-        for i in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in table_rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    _write_text(args, "\n".join(lines) + "\n")
+    _write_text(args, "\n".join(_text_table(table_rows)) + "\n")
     return EXIT_OK
 
 
@@ -431,27 +411,17 @@ def _pair_table(report) -> str:
         ("information measure", f"{iota_p} (> 0)", f"{iota_z} (< 0)"),
         ("arithmetic origin", "residues 1,3 mod 4", "zero ordinates mod 2pi"),
     ]
-    widths = [max(len(r[i]) for r in rows) for i in range(3)]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(rows[0]))]
-    lines.append("  ".join("-" * w for w in widths))
-    lines.extend(
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-        for row in rows[1:]
-    )
+    lines = _text_table(rows)
     lines.append("")
     lines.append(f"sum of information measures: {mp.nstr(report.total, 5)}")
     lines.append(f"caveat: {report.caveat}")
     return "\n".join(lines) + "\n"
 
 
-def cmd_conservation(args) -> int:
-    digits = args.digits or default_precision()
-    seq = None
-    if args.zeros:
-        table = parse_zero_file(args.zeros)
-        seq = digitize(table, precision_digits=max(digits, 40))
+def cmd_conservation(args, digits: int) -> int:
+    seq = _digitize(parse_zero_file(args.zeros), digits) if args.zeros else None
     report = conservation_report(precision_digits=digits, zero_digits=seq)
-    manifest = _manifest(args)
+    manifest = _manifest(args, digits)
     if args.format == "table":
         _write_text(args, _pair_table(report))
         return EXIT_OK
@@ -480,21 +450,20 @@ def cmd_conservation(args) -> int:
     return EXIT_OK
 
 
-def cmd_axioms(args) -> int:
-    digits = args.digits or default_precision()
+def cmd_axioms(args, digits: int) -> int:
     checks = axiom_suite(precision_digits=digits)
-    manifest = _manifest(args)
+    manifest = _manifest(args, digits)
     _emit_json(args, manifest, [asdict(c) for c in checks])
     return EXIT_OK
 
 
-def cmd_perturb(args) -> int:
+def cmd_perturb(args, digits: int) -> int:
     if (args.p is None) == (args.bias is None):
         raise InputError("give exactly one of --p or --bias p1,p3")
     if args.p is not None:
         probs = (args.p, args.p)
     else:
-        parts = [float(x) for x in args.bias.split(",")]
+        parts = _parse_list(args.bias, "--bias", _finite_float)
         if len(parts) != 2:
             raise InputError(f"--bias needs two probabilities, got {args.bias!r}")
         probs = (parts[0], parts[1])
@@ -502,7 +471,7 @@ def cmd_perturb(args) -> int:
         probs=probs, depth=args.depth, trials=args.trials, seed=args.seed, base=args.base
     )
     run = run_trials(config)
-    manifest = _manifest(args)
+    manifest = _manifest(args, digits)
     agg = run.aggregate
     result = {
         "p": args.p if args.p is not None else list(probs),
@@ -516,7 +485,7 @@ def cmd_perturb(args) -> int:
         "predicted_dim": agg.predicted_dim,
     }
     if args.per_trial:
-        lines = [f"# manifest: {json.dumps(manifest.to_dict())}"]
+        lines = [f"# {_manifest_comment(manifest)}"]
         lines.append("trial,final_count,extinct,dim_estimate")
         for i, o in enumerate(run.outcomes):
             dim = "" if o.dim_estimate is None else repr(o.dim_estimate)
@@ -531,10 +500,7 @@ def cmd_perturb(args) -> int:
 
 def _parse_q_grid(args) -> list[float]:
     if args.q:
-        try:
-            return [float(tok) for tok in args.q.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise InputError(f"--q: cannot parse {args.q!r}") from exc
+        return _parse_list(args.q, "--q", _finite_float)
     if not args.q_range:
         raise InputError("give --q LIST or --q-range START:STOP:STEP")
     parts = args.q_range.split(":")
@@ -554,9 +520,9 @@ def _parse_q_grid(args) -> list[float]:
     return grid
 
 
-def cmd_multifractal(args) -> int:
-    ratios = _parse_fraction_list(args.ratios, "--ratios")
-    weights = _parse_fraction_list(args.weights, "--weights")
+def cmd_multifractal(args, digits: int) -> int:
+    ratios = _parse_list(args.ratios, "--ratios", Fraction)
+    weights = _parse_list(args.weights, "--weights", Fraction)
     if len(ratios) != len(weights):
         raise InputError("--ratios and --weights must have the same length")
     offsets = [Fraction(0)] * len(ratios)  # offsets do not enter the spectrum
@@ -568,7 +534,7 @@ def cmd_multifractal(args) -> int:
         label="cli-ifs",
     )
     points = multifractal_spectrum(ifs, _parse_q_grid(args))
-    manifest = _manifest(args)
+    manifest = _manifest(args, digits)
     result = [
         {"q": p.q, "tau": p.tau, "alpha": p.alpha, "f": p.f} for p in points
     ]
@@ -671,7 +637,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, args.digits or default_precision())
     except FraczetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for err_type, code in _ERROR_CODES:

@@ -13,7 +13,6 @@ lazily and only materialized under an explicit cap.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
@@ -400,7 +399,3 @@ def stage_to_json(stage: StageSet, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
         "total_length": _frac_str(stage.total_length),
         "intervals": [[_frac_str(a), _frac_str(b)] for a, b in intervals],
     }
-
-
-def stage_json_text(stage: StageSet, cap: int = DEFAULT_ENUMERATION_CAP) -> str:
-    return json.dumps(stage_to_json(stage, cap), indent=2)

@@ -16,8 +16,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InputError, SubcriticalRetentionWarning
 
 
@@ -29,7 +27,7 @@ def expected_dimension(p: float) -> float:
     """
     if not (0 < p <= 1):
         raise InputError(f"retention probability must be in (0, 1], got {p}")
-    value = math.log2(2 * p) / math.log2(4)
+    value = predicted_dimension((p, p), 4)
     if 2 * p <= 1:
         warnings.warn(SubcriticalRetentionWarning(value))
     return value
@@ -96,6 +94,8 @@ class TrialRun:
 
 
 def _single_trial(config: RetentionConfig, index: int) -> TrialOutcome:
+    import numpy as np  # imported on first use: no other command needs numpy
+
     rng = np.random.default_rng((config.seed, index))
     p1, p3 = config.probs
     counts = [1]
@@ -115,6 +115,8 @@ def _single_trial(config: RetentionConfig, index: int) -> TrialOutcome:
 
 def run_trials(config: RetentionConfig) -> TrialRun:
     """Run the configured trials and aggregate survival-conditioned estimates."""
+    import numpy as np
+
     outcomes = tuple(_single_trial(config, i) for i in range(config.trials))
     dims = [o.dim_estimate for o in outcomes if not o.extinct]
     extinct_count = sum(1 for o in outcomes if o.extinct)

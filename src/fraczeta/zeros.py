@@ -11,6 +11,7 @@ close 4t came to an integer, where floor() is discontinuous.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
@@ -26,20 +27,6 @@ MIN_DIGITIZE_DPS = 40
 DEFAULT_BOUNDARY_TOL = 1e-6
 
 CHI2_CRITICAL_05_DF3 = 7.8147
-
-# pi to 100 significant digits; digitization at <= 100 digits reads 2*pi
-# from this constant so the precision provenance is a fixed literal.
-PI_100 = (
-    "3.14159265358979323846264338327950288419716939937510"
-    "5820974944592307816406286208998628034825342117068"
-)
-
-
-def pi_at(dps: int) -> mp.mpf:
-    """pi at the current working precision, from the stored literal when it suffices."""
-    if dps <= 100:
-        return mp.mpf(PI_100)
-    return +mp.pi
 
 
 @dataclass(frozen=True)
@@ -122,7 +109,7 @@ def parse_zero_file(path) -> ZeroTable:
             continue
         try:
             value = Fraction(Decimal(token))
-        except (InvalidOperation, ValueError) as exc:
+        except (InvalidOperation, ValueError, OverflowError) as exc:
             raise ParseError(f"{p}: line {lineno}: not a decimal number: {raw!r}") from exc
         if value <= 0:
             raise InputError(f"{p}: line {lineno}: ordinate must be positive, got {token}")
@@ -156,11 +143,11 @@ def digitize(
         raise InputError(
             f"precision_digits must be >= {MIN_DIGITIZE_DPS}, got {precision_digits}"
         )
-    if boundary_tol <= 0:
-        raise InputError(f"boundary_tol must be positive, got {boundary_tol}")
+    if not 0 < boundary_tol < math.inf:
+        raise InputError(f"boundary_tol must be finite and positive, got {boundary_tol}")
     entries = []
     with mp.workdps(precision_digits):
-        two_pi = 2 * pi_at(precision_digits)
+        two_pi = 2 * mp.pi
         for i, (gamma, text) in enumerate(zip(table.gammas, table.gamma_strings), start=1):
             x = mp.mpf(gamma.numerator) / mp.mpf(gamma.denominator) / two_pi
             t = x - mp.floor(x)
@@ -229,7 +216,7 @@ def reorder_external_weights(table: ZeroTable, weights_path) -> ZeroTable:
         try:
             idx = int(parts[0])
             w = Fraction(Decimal(parts[1]))
-        except (ValueError, InvalidOperation) as exc:
+        except (ValueError, InvalidOperation, OverflowError) as exc:
             raise ParseError(f"{p}: line {lineno}: bad index/weight pair {raw!r}") from exc
         if idx in weights:
             raise InputError(f"{p}: line {lineno}: duplicate index {idx}")

@@ -47,12 +47,11 @@ def _to_exact(s) -> Fraction:
     """Exact rational view of an argument given as int/float/str/Fraction."""
     if isinstance(s, Fraction):
         return s
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, float):
-        return Fraction(s)
-    if isinstance(s, str):
-        return Fraction(s)
+    if isinstance(s, (int, float, str)):
+        try:
+            return Fraction(s)
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise InputError(f"cannot interpret {s!r} as a real argument") from exc
     if isinstance(s, mp.mpf):
         if not mp.isfinite(s):
             raise InputError(f"non-finite argument {s}")
@@ -76,9 +75,6 @@ class ZetaValue:
     correction_K: int
     error_bound: mp.mpf
     precision_digits: int
-
-    def value_str(self) -> str:
-        return mp.nstr(self.value, self.precision_digits)
 
 
 def _correction_term(s_mp: mp.mpf, n_mp: mp.mpf, k: int, rising: mp.mpf) -> mp.mpf:

@@ -1,8 +1,15 @@
 """Command-line surface: payloads, manifests, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraczeta.cli import (
     EXIT_CAPACITY,
@@ -10,8 +17,12 @@ from fraczeta.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_PARSE,
+    _finite_float,
+    _parse_list,
+    _text_table,
     main,
 )
+from fraczeta.errors import InputError
 
 
 def run_json(capsys, argv):
@@ -263,3 +274,93 @@ class TestReproducibility:
         monkeypatch.setenv("FRACZETA_PRECISION", "25")
         payload = run_json(capsys, ["zeta", "--s", "2", "--terms", "500", "--k", "6"])
         assert payload["result"]["precision_digits"] == 25
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+# (argv, environment, exit code); ZEROS stands for the shipped zero file,
+# INF_ZEROS for a zero file with an 'inf' line.
+EXIT_CASES = [
+    (["perturb", "--bias", "x,0.5", "--depth", "5", "--trials", "5", "--seed", "1"], {}, EXIT_INPUT),
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", "nan"], {}, EXIT_INPUT),
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", "inf"], {}, EXIT_INPUT),
+    (["zeros", "digitize", "--file", "ZEROS", "--format", "json", "--tol", "nan"], {}, EXIT_INPUT),
+    (["zeros", "stats", "--file", "ZEROS", "--tol", "inf"], {}, EXIT_INPUT),
+    (["zeros", "stats", "--file", "INF_ZEROS"], {}, EXIT_PARSE),
+    (["zeta", "--s", "abc"], {}, EXIT_INPUT),
+    (["zeta", "--s", "nan"], {}, EXIT_INPUT),
+    (["zeta", "--s", "inf"], {}, EXIT_INPUT),
+    (["zeta", "--s", "1/0"], {}, EXIT_INPUT),
+    (["construct", "pess", "--depth", "2", "--tol", "nan"], {}, EXIT_INPUT),
+    # 256 intervals: without the cap check the CSV path streams them and exits 0
+    (["construct", "pess", "--depth", "8", "--format", "csv", "--cap", "100"], {}, EXIT_CAPACITY),
+    (["zeta", "--s", "2", "--terms", "50", "--k", "4"], {"FRACZETA_PRECISION": "abc"}, EXIT_INPUT),
+    (["construct", "--modq", "6", "--keep", "1,x", "--depth", "2"], {}, EXIT_INPUT),
+    (["dimension", "pess", "--method", "boxcount", "--scales", "1/0,1/2"], {}, EXIT_INPUT),
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", "0,1,2.5"], {}, EXIT_OK),
+    (["perturb", "--bias", "0.6,0.9", "--depth", "6", "--trials", "20", "--seed", "3"], {}, EXIT_OK),
+    (["zeros", "digitize", "--file", "ZEROS", "--format", "json", "--tol", "1e-3"], {}, EXIT_OK),
+    (["zeta", "--s", "2/3", "--terms", "200", "--k", "6"], {"FRACZETA_PRECISION": "25"}, EXIT_OK),
+]
+
+
+@pytest.mark.parametrize("argv,env,code", EXIT_CASES, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_exit_codes(capsys, monkeypatch, tmp_path, zeros_path, argv, env, code):
+    monkeypatch.delenv("FRACZETA_PRECISION", raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    inf_zeros = tmp_path / "inf_zeros.txt"
+    inf_zeros.write_text("14.134725141734693\ninf\n")
+    files = {"ZEROS": str(zeros_path), "INF_ZEROS": str(inf_zeros)}
+    assert main([files.get(a, a) for a in argv]) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_OK:
+        assert err == ""
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, fraczeta.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+    )
+    assert res.stdout.strip() == "False"
+
+
+class TestParseList:
+    @given(st.lists(st.integers()))
+    def test_ints_round_trip(self, values):
+        assert _parse_list(",".join(map(str, values)), "--x", int) == values
+
+    @given(st.lists(st.fractions()))
+    def test_fractions_round_trip(self, values):
+        assert _parse_list(", ".join(map(str, values)), "--x", Fraction) == values
+
+    @settings(max_examples=300)
+    @given(st.text(), st.sampled_from([int, Fraction, _finite_float]))
+    def test_text_parses_or_raises_input_error(self, text, conv):
+        try:
+            values = _parse_list(text, "--x", conv)
+        except InputError as exc:
+            assert str(exc).startswith("--x: cannot parse")
+        else:
+            assert len(values) <= text.count(",") + 1
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda cols: st.lists(st.lists(st.text(), min_size=cols, max_size=cols), min_size=1)
+    )
+)
+def test_text_table_rows_share_width_and_rule_is_second(rows):
+    lines = _text_table(rows)
+    assert len(lines) == len(rows) + 1
+    assert len({len(line) for line in lines}) == 1
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    assert lines[1] == "  ".join("-" * w for w in widths)

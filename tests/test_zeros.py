@@ -8,7 +8,6 @@ import pytest
 
 from fraczeta.errors import InputError, ParseError
 from fraczeta.zeros import (
-    PI_100,
     digit_stats,
     digitize,
     parse_zero_file,
@@ -68,10 +67,6 @@ class TestParse:
         assert len(zero_table) == 100
         assert zero_table.ordering_warning is None
 
-    def test_pi_constant_matches_independent_computation(self):
-        with mp.workdps(110):
-            assert abs(mp.mpf(PI_100) - mp.pi) < mp.mpf("1e-99")
-
 
 class TestDigitize:
     def test_first_zero_against_high_precision_oracle(self, zero_table):
@@ -104,6 +99,11 @@ class TestDigitize:
         seq = digitize(parse_zero_file(path), 50)
         assert seq.entries[0].a == 2
         assert abs(seq.entries[0].t - mp.mpf("0.5")) < mp.mpf("1e-40")
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
+    def test_boundary_tol_must_be_finite_and_positive(self, zero_table, tol):
+        with pytest.raises(InputError, match="finite and positive"):
+            digitize(zero_table, precision_digits=50, boundary_tol=tol)
 
     def test_all_digits_in_range_and_floor_consistent(self, zero_digits):
         for e in zero_digits:
@@ -175,6 +175,14 @@ class TestReorder:
         weights.write_text("1 0.9\n")
         with pytest.raises(InputError):
             reorder_external_weights(table, weights)
+
+    def test_infinite_weight_is_parse_error(self, tmp_path):
+        zeros = tmp_path / "z.txt"
+        zeros.write_text("10.5\n20.5\n")
+        weights = tmp_path / "w.txt"
+        weights.write_text("1 0.9\n2 inf\n")
+        with pytest.raises(ParseError, match="line 2"):
+            reorder_external_weights(parse_zero_file(zeros), weights)
 
 
 class TestDigitStats:
