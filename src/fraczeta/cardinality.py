@@ -208,19 +208,21 @@ CATALOG_GRIDS = {
 }
 
 
-def catalog(
-    terms_N: int = 2000,
-    correction_K: int = 10,
-    precision_digits: int = DEFAULT_PRECISION_DIGITS,
-) -> list[CatalogEntry]:
+# Euler-Maclaurin (N, K) behind every zeta(1/2) report value
+REPORT_ZETA_TERMS = (2000, 10)
+
+
+def _zeta_half(precision_digits: int) -> ZetaValue:
+    return zeta_euler_maclaurin(Fraction(1, 2), *REPORT_ZETA_TERMS, precision_digits)
+
+
+def catalog(precision_digits: int = DEFAULT_PRECISION_DIGITS) -> list[CatalogEntry]:
     """The built-in comparison table; iota values are evaluated live.
 
     One shared zeta(1/2) evaluation feeds the two signed information
     values, so they negate each other bit for bit.
     """
-    z = zeta_euler_maclaurin(
-        Fraction(1, 2), terms_N, correction_K, precision_digits
-    ).value
+    z = _zeta_half(precision_digits).value
     with mp.workdps(precision_digits):
         neg_z = -z  # negate at full precision; ambient context would round
 
@@ -265,8 +267,8 @@ def catalog(
     ]
 
 
-def catalog_map(**kwargs) -> dict[str, CatalogEntry]:
-    return {e.name: e for e in catalog(**kwargs)}
+def catalog_map(precision_digits: int = DEFAULT_PRECISION_DIGITS) -> dict[str, CatalogEntry]:
+    return {e.name: e for e in catalog(precision_digits)}
 
 
 @dataclass(frozen=True)
@@ -287,8 +289,6 @@ CONSERVATION_CAVEAT = (
 
 
 def conservation_report(
-    terms_N: int = 2000,
-    correction_K: int = 10,
     precision_digits: int = DEFAULT_PRECISION_DIGITS,
     zero_digits: DigitSequence | None = None,
 ) -> ConservationReport:
@@ -297,7 +297,7 @@ def conservation_report(
     When a digitized zero sequence is supplied, its digit-uniformity
     statistics ride along as the only empirical probe offered.
     """
-    zv = zeta_euler_maclaurin(Fraction(1, 2), terms_N, correction_K, precision_digits)
+    zv = _zeta_half(precision_digits)
     with mp.workdps(precision_digits):
         iota_pess = -zv.value  # exact sign flip at full precision
         iota_zf = zv.value
@@ -320,15 +320,9 @@ class AxiomCheck:
     detail: str
 
 
-def axiom_suite(
-    terms_N: int = 2000,
-    correction_K: int = 10,
-    precision_digits: int = DEFAULT_PRECISION_DIGITS,
-) -> list[AxiomCheck]:
+def axiom_suite(precision_digits: int = DEFAULT_PRECISION_DIGITS) -> list[AxiomCheck]:
     """Assert the checkable information-measure axioms; report the rest."""
-    entries = catalog_map(
-        terms_N=terms_N, correction_K=correction_K, precision_digits=precision_digits
-    )
+    entries = catalog_map(precision_digits)
     checks = []
 
     a1_ok = empty_set_cardinality().iota == 0 and singleton_cardinality().iota == 0

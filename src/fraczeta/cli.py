@@ -67,7 +67,7 @@ from .zeros import (
     reorder,
     reorder_external_weights,
 )
-from .zeta import DEFAULT_PRECISION_DIGITS, zeta_euler_maclaurin
+from .zeta import DEFAULT_PRECISION_DIGITS, fraction_from_text, zeta_euler_maclaurin
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -165,11 +165,6 @@ def _text_table(rows) -> list[str]:
     return lines
 
 
-def _digitize(table, digits: int, tol: float = DEFAULT_BOUNDARY_TOL):
-    """Digitize at the working precision, raised to the digitizer's minimum."""
-    return digitize(table, precision_digits=max(digits, MIN_DIGITIZE_DPS), boundary_tol=tol)
-
-
 def _add_set_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("name", nargs="?", help="built-in set name (pess, cantor13, classic-cantor, mod6, mod8)")
     parser.add_argument("--zeros", metavar="FILE", help="zero-ordinate file driving a zf construction")
@@ -187,10 +182,8 @@ def _spec_from_args(args, digits: int) -> GridSpec:
     if args.name:
         return make_named_spec(args.name)
     if args.zeros:
-        table = parse_zero_file(args.zeros)
-        if args.order == "random":
-            table = reorder(table, "random", args.seed)
-        return make_zf_spec(_digitize(table, digits, args.tol))
+        table = reorder(parse_zero_file(args.zeros), args.order, args.seed)
+        return make_zf_spec(digitize(table, digits, args.tol))
     if args.keep is None:
         raise InputError("--modq requires --keep with the residues to retain")
     keep = _parse_list(args.keep, "--keep", int)
@@ -200,11 +193,8 @@ def _spec_from_args(args, digits: int) -> GridSpec:
 def cmd_construct(args, digits: int) -> int:
     spec = _spec_from_args(args, digits)
     stage = build_stage(spec, args.depth)
-    if stage.interval_count > args.cap:
-        raise CapacityError(
-            f"stage {args.depth} of '{spec.label}' has {stage.interval_count} "
-            f"intervals, above the enumeration cap {args.cap}"
-        )
+    # write_stage_csv streams without a cap, so the CSV path relies on this
+    stage.check_cap(args.cap)
     manifest = _manifest(args, digits, label=spec.label)
     if args.format == "json":
         _emit_json(args, manifest, stage_to_json(stage, cap=args.cap))
@@ -229,7 +219,7 @@ def cmd_dimension(args, digits: int) -> int:
     else:
         stage = build_stage(spec, args.depth)
         if args.scales:
-            scales = _parse_list(args.scales, "--scales", Fraction)
+            scales = _parse_list(args.scales, "--scales", fraction_from_text)
         else:
             scales = [Fraction(1, spec.base**k) for k in range(1, args.depth + 1)]
         est = box_dimension_fit(stage, scales)
@@ -251,17 +241,20 @@ def cmd_dimension(args, digits: int) -> int:
     return EXIT_OK
 
 
-def cmd_zeta(args, digits: int) -> int:
-    zv = zeta_euler_maclaurin(args.s, args.terms, args.k, digits)
-    manifest = _manifest(args, digits)
-    result = {
+def _zeta_json(zv, digits: int) -> dict:
+    return {
         "s": str(zv.s),
         "value": _mpf_str(zv.value, digits),
         "terms_N": zv.terms_N,
         "correction_K": zv.correction_K,
         "error_bound": _mpf_str(zv.error_bound, 10),
-        "precision_digits": zv.precision_digits,
     }
+
+
+def cmd_zeta(args, digits: int) -> int:
+    zv = zeta_euler_maclaurin(args.s, args.terms, args.k, digits)
+    manifest = _manifest(args, digits)
+    result = {**_zeta_json(zv, digits), "precision_digits": zv.precision_digits}
     _emit_json(args, manifest, result)
     return EXIT_OK
 
@@ -280,7 +273,7 @@ def _load_table(args):
 
 def cmd_zeros_digitize(args, digits: int) -> int:
     table = _load_table(args)
-    seq = _digitize(table, digits, args.tol)
+    seq = digitize(table, digits, args.tol)
     manifest = _manifest(args, digits, ordering=table.ordering)
     if args.format == "json":
         result = {
@@ -312,15 +305,12 @@ def cmd_zeros_digitize(args, digits: int) -> int:
 
 def cmd_zeros_stats(args, digits: int) -> int:
     table = _load_table(args)
-    seq = _digitize(table, digits, args.tol)
+    seq = digitize(table, digits, args.tol)
     stats = digit_stats(seq)
     manifest = _manifest(args, digits, ordering=table.ordering)
     result = {
         "length": len(seq),
-        "counts": list(stats.counts),
-        "chi_square": stats.chi_square,
-        "df": stats.df,
-        "reject_at_05": stats.reject_at_05,
+        **asdict(stats),
         "boundary_flags": sum(1 for e in seq if e.boundary_flag),
     }
     _emit_json(args, manifest, result)
@@ -419,7 +409,7 @@ def _pair_table(report) -> str:
 
 
 def cmd_conservation(args, digits: int) -> int:
-    seq = _digitize(parse_zero_file(args.zeros), digits) if args.zeros else None
+    seq = digitize(parse_zero_file(args.zeros), digits) if args.zeros else None
     report = conservation_report(precision_digits=digits, zero_digits=seq)
     manifest = _manifest(args, digits)
     if args.format == "table":
@@ -431,21 +421,10 @@ def cmd_conservation(args, digits: int) -> int:
         "sum": _mpf_str(report.total, digits),
         "sum_is_exact_zero": report.total == 0,
         "caveat": report.caveat,
-        "zeta": {
-            "s": str(report.zeta.s),
-            "value": _mpf_str(report.zeta.value, digits),
-            "terms_N": report.zeta.terms_N,
-            "correction_K": report.zeta.correction_K,
-            "error_bound": _mpf_str(report.zeta.error_bound, 10),
-        },
+        "zeta": _zeta_json(report.zeta, digits),
     }
     if report.digit_stats is not None:
-        result["digit_stats"] = {
-            "counts": list(report.digit_stats.counts),
-            "chi_square": report.digit_stats.chi_square,
-            "df": report.digit_stats.df,
-            "reject_at_05": report.digit_stats.reject_at_05,
-        }
+        result["digit_stats"] = asdict(report.digit_stats)
     _emit_json(args, manifest, result)
     return EXIT_OK
 
@@ -472,17 +451,13 @@ def cmd_perturb(args, digits: int) -> int:
     )
     run = run_trials(config)
     manifest = _manifest(args, digits)
-    agg = run.aggregate
     result = {
         "p": args.p if args.p is not None else list(probs),
-        "depth": agg.depth,
-        "trials": agg.trials,
-        "seed": agg.seed,
-        "base": agg.base,
-        "extinction_rate": agg.extinction_rate,
-        "mean_dim": agg.mean_dim,
-        "std_dim": agg.std_dim,
-        "predicted_dim": agg.predicted_dim,
+        "depth": run.config.depth,
+        "trials": run.config.trials,
+        "seed": run.config.seed,
+        "base": run.config.base,
+        **asdict(run.aggregate),
     }
     if args.per_trial:
         lines = [f"# {_manifest_comment(manifest)}"]
@@ -507,11 +482,13 @@ def _parse_q_grid(args) -> list[float]:
     if len(parts) != 3:
         raise InputError(f"--q-range must be START:STOP:STEP, got {args.q_range!r}")
     try:
-        start, stop, step = (Fraction(p) for p in parts)
+        start, stop, step = (fraction_from_text(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"--q-range: cannot parse {args.q_range!r}") from exc
     if step <= 0 or stop < start:
         raise InputError("--q-range needs step > 0 and stop >= start")
+    if max(abs(start), abs(stop)) > sys.float_info.max:
+        raise InputError("--q-range bounds must lie within the double range")
     grid = []
     q = start
     while q <= stop:
@@ -521,8 +498,8 @@ def _parse_q_grid(args) -> list[float]:
 
 
 def cmd_multifractal(args, digits: int) -> int:
-    ratios = _parse_list(args.ratios, "--ratios", Fraction)
-    weights = _parse_list(args.weights, "--weights", Fraction)
+    ratios = _parse_list(args.ratios, "--ratios", fraction_from_text)
+    weights = _parse_list(args.weights, "--weights", fraction_from_text)
     if len(ratios) != len(weights):
         raise InputError("--ratios and --weights must have the same length")
     offsets = [Fraction(0)] * len(ratios)  # offsets do not enter the spectrum
@@ -535,10 +512,7 @@ def cmd_multifractal(args, digits: int) -> int:
     )
     points = multifractal_spectrum(ifs, _parse_q_grid(args))
     manifest = _manifest(args, digits)
-    result = [
-        {"q": p.q, "tau": p.tau, "alpha": p.alpha, "f": p.f} for p in points
-    ]
-    _emit_json(args, manifest, result)
+    _emit_json(args, manifest, [asdict(p) for p in points])
     return EXIT_OK
 
 
@@ -633,11 +607,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _precision(args) -> int:
+    """The working precision of the run, as its manifest records it.
+
+    ``--digits``, else ``FRACZETA_PRECISION``, else the default; a run that
+    digitizes zero ordinates is raised to the digitizer's minimum.
+    """
+    digits = default_precision() if args.digits is None else args.digits
+    if args.func in (cmd_zeros_digitize, cmd_zeros_stats) or getattr(args, "zeros", None):
+        return max(digits, MIN_DIGITIZE_DPS)
+    return digits
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, args.digits or default_precision())
+        return args.func(args, _precision(args))
     except FraczetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for err_type, code in _ERROR_CODES:

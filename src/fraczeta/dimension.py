@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InputError
+from .errors import DomainError, InputError
 from .grids import GeneralIfsSpec, StageSet
 
 BISECTION_TOL = 1e-12
@@ -117,6 +117,14 @@ def box_count(stage: StageSet, epsilon) -> int:
     return count
 
 
+def _log_inv(eps: Fraction) -> float:
+    """log(1/eps) in double precision, for eps > 0."""
+    try:
+        return math.log(float(1 / eps))
+    except (OverflowError, ValueError) as exc:  # 1/eps overflows or underflows a double
+        raise InputError("every scale must keep 1/eps within the double range") from exc
+
+
 def box_dimension_fit(stage: StageSet, scales: Sequence) -> DimensionEstimate:
     """OLS slope of log N(eps) against log(1/eps) over the given scales."""
     eps_list = sorted({Fraction(e) for e in scales}, reverse=True)
@@ -125,7 +133,7 @@ def box_dimension_fit(stage: StageSet, scales: Sequence) -> DimensionEstimate:
             f"need at least 3 distinct scales, got {len(eps_list)}"
         )
     points = [(eps, box_count(stage, eps)) for eps in eps_list]
-    xs = [math.log(float(1 / eps)) for eps, _ in points]
+    xs = [_log_inv(eps) for eps, _ in points]
     ys = [math.log(n) for _, n in points]
     fit = statistics.linear_regression(xs, ys)
     try:
@@ -151,7 +159,7 @@ def write_fit_points_csv(estimate: DimensionEstimate, fp, comments: Sequence[str
     for eps, count in estimate.sample_points:
         fp.write(
             f"{eps.numerator}/{eps.denominator},{count},"
-            f"{math.log(float(1 / eps))!r},{math.log(count)!r}\n"
+            f"{_log_inv(eps)!r},{math.log(count)!r}\n"
         )
 
 
@@ -187,9 +195,14 @@ def multifractal_spectrum(
     tau = _tau_solver(ifs)
     points = []
     for q in q_grid:
-        q = float(q)
-        t = tau(q)
-        alpha = -(tau(q + diff_step) - tau(q - diff_step)) / (2 * diff_step)
+        try:
+            q = float(q)
+            t = tau(q)
+            alpha = -(tau(q + diff_step) - tau(q - diff_step)) / (2 * diff_step)
+        except OverflowError as exc:
+            raise DomainError(
+                f"q = {q}: the moments p**q * r**tau overflow a double; use a smaller |q|"
+            ) from exc
         points.append(
             MultifractalPoint(q=q, tau=t, alpha=alpha, f=q * alpha + t)
         )

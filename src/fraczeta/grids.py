@@ -31,6 +31,7 @@ DEFAULT_ENUMERATION_CAP = 2**20
 Interval = tuple[Fraction, Fraction]
 
 NAMED_SPECS = {
+    "pess": (4, (1, 3)),
     "cantor13": (8, (0, 7)),
     "classic-cantor": (3, (0, 2)),
     "mod6": (6, (1, 5)),
@@ -195,27 +196,28 @@ class StageSet:
                 num = num * b + d
             yield (Fraction(num, den), Fraction(num + 1, den))
 
-    def materialize(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Interval]:
+    def check_cap(self, cap: int) -> None:
+        """Raise CapacityError when enumerating this stage would exceed ``cap``."""
         if self.interval_count > cap:
             raise CapacityError(
                 f"stage {self.depth} of '{self.spec.label}' has "
                 f"{self.interval_count} intervals, above the enumeration cap {cap}"
             )
+
+    def materialize(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Interval]:
+        self.check_cap(cap)
         return list(self.intervals())
 
 
 def make_pess_spec() -> GridSpec:
     """Base-4 grid keeping digits 1 and 3 at every level."""
-    return GridSpec(base=4, label="pess", constant=(1, 3))
+    return make_named_spec("pess")
 
 
 def make_named_spec(name: str) -> GridSpec:
     """Look up one of the built-in constant-rule constructions."""
-    if name == "pess":
-        return make_pess_spec()
     if name not in NAMED_SPECS:
-        valid = ["pess", *NAMED_SPECS]
-        raise InputError(f"unknown set name {name!r}; valid names: {', '.join(valid)}")
+        raise InputError(f"unknown set name {name!r}; valid names: {', '.join(NAMED_SPECS)}")
     base, retained = NAMED_SPECS[name]
     return GridSpec(base=base, label=name, constant=retained)
 
@@ -294,12 +296,6 @@ class IfsStepResult:
 
     intervals: tuple[Interval, ...]
     overlaps: tuple[tuple[Interval, Interval], ...]
-
-    def __iter__(self):
-        return iter(self.intervals)
-
-    def __len__(self):
-        return len(self.intervals)
 
 
 def apply_ifs_step(ifs: GeneralIfsSpec, intervals: Iterable[Interval]) -> IfsStepResult:

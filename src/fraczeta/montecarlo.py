@@ -75,11 +75,6 @@ class TrialOutcome:
 
 @dataclass(frozen=True)
 class TrialAggregate:
-    probs: tuple[float, float]
-    depth: int
-    trials: int
-    seed: int
-    base: int
     extinction_rate: float
     mean_dim: float | None
     std_dim: float | None
@@ -127,11 +122,6 @@ def run_trials(config: RetentionConfig) -> TrialRun:
         mean_dim = None
         std_dim = None
     aggregate = TrialAggregate(
-        probs=config.probs,
-        depth=config.depth,
-        trials=config.trials,
-        seed=config.seed,
-        base=config.base,
         extinction_rate=extinct_count / config.trials,
         mean_dim=mean_dim,
         std_dim=std_dim,

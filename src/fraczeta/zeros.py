@@ -30,18 +30,11 @@ CHI2_CRITICAL_05_DF3 = 7.8147
 
 
 @dataclass(frozen=True)
-class ZeroSource:
-    path: str
-    line_count: int
-
-
-@dataclass(frozen=True)
 class ZeroTable:
     """Ordinates as exact rationals plus the text they were read from."""
 
     gammas: tuple[Fraction, ...]
     gamma_strings: tuple[str, ...]
-    source: ZeroSource
     ordering: str  # "standard" | "random(seed=...)" | "external-weights(...)"
     ordering_warning: str | None = None
 
@@ -101,9 +94,7 @@ def parse_zero_file(path) -> ZeroTable:
         raise InputError(f"cannot read zero file {p}: {exc}") from exc
     gammas: list[Fraction] = []
     strings: list[str] = []
-    line_count = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line_count = lineno
         token = raw.strip()
         if not token or token.startswith("#"):
             continue
@@ -123,7 +114,6 @@ def parse_zero_file(path) -> ZeroTable:
     return ZeroTable(
         gammas=tuple(gammas),
         gamma_strings=tuple(strings),
-        source=ZeroSource(path=str(p), line_count=line_count),
         ordering="standard",
         ordering_warning=warning,
     )

@@ -16,6 +16,7 @@ s <-> 1-s functional-equation residual complete the engine.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +29,11 @@ MAX_CORRECTION_K = 30
 
 # Internal guard digits so the last reported digit is trustworthy.
 _GUARD = 10
+
+# Fraction('1e9999999') builds a ten-million-digit integer before any range
+# check can run, so text with a larger decimal exponent is refused first.
+MAX_TEXT_EXPONENT = 1000
+_TEXT_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
 
@@ -43,13 +49,23 @@ def bernoulli_numbers(upto: int) -> list[Fraction]:
     return _bernoulli_cache[: upto + 1]
 
 
+def fraction_from_text(text: str) -> Fraction:
+    """``Fraction(text)``, refusing a decimal exponent above ``MAX_TEXT_EXPONENT``."""
+    m = _TEXT_EXPONENT.search(text)
+    if m:
+        exponent = m.group(1).replace("_", "").lstrip("0") or "0"
+        if len(exponent) > len(str(MAX_TEXT_EXPONENT)) or int(exponent) > MAX_TEXT_EXPONENT:
+            raise ValueError(f"decimal exponent of {text!r} exceeds {MAX_TEXT_EXPONENT}")
+    return Fraction(text)
+
+
 def _to_exact(s) -> Fraction:
     """Exact rational view of an argument given as int/float/str/Fraction."""
     if isinstance(s, Fraction):
         return s
     if isinstance(s, (int, float, str)):
         try:
-            return Fraction(s)
+            return fraction_from_text(s) if isinstance(s, str) else Fraction(s)
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise InputError(f"cannot interpret {s!r} as a real argument") from exc
     if isinstance(s, mp.mpf):

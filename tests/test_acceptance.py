@@ -122,7 +122,7 @@ def test_criterion_06_box_count_regression(zero_table):
 
 def test_criterion_07_comparison_and_catalog():
     with criterion(7, "pess > cantor13 with alpha-equal/delta-strict trace; table rows live"):
-        entries = catalog_map(terms_N=4000)
+        entries = catalog_map()
         rel, trace = compare_trace(
             entries["pess"].cardinality, entries["cantor13"].cardinality
         )
@@ -149,7 +149,7 @@ def test_criterion_07_comparison_and_catalog():
 
 def test_criterion_08_conservation_report(zero_digits):
     with criterion(8, "conservation sum exactly 0 with definitional caveat and digit stats"):
-        report = conservation_report(terms_N=4000, zero_digits=zero_digits)
+        report = conservation_report(zero_digits=zero_digits)
         assert report.total == 0
         assert report.iota_pess > 0 > report.iota_zf
         with mp.workdps(60):

@@ -56,7 +56,7 @@ class TestLogRatio:
 
 class TestCompare:
     def test_pess_beats_cantor13(self):
-        entries = catalog_map(terms_N=500)
+        entries = catalog_map()
         rel, trace = compare_trace(
             entries["pess"].cardinality, entries["cantor13"].cardinality
         )
@@ -65,7 +65,7 @@ class TestCompare:
         assert trace[1]["component"] == "delta" and trace[1]["relation"] == "greater"
 
     def test_unit_interval_beats_pess_on_delta(self):
-        entries = catalog_map(terms_N=500)
+        entries = catalog_map()
         assert compare(
             entries["unit-interval"].cardinality, entries["pess"].cardinality
         ) == "greater"
@@ -141,7 +141,7 @@ class TestCompareExtended:
             compare_extended(a, b)
 
     def test_catalog_extended_comparison(self):
-        entries = catalog_map(terms_N=500)
+        entries = catalog_map()
         assert compare_extended(
             entries["pess"].cardinality, entries["cantor13"].cardinality
         ) == "dominates"
@@ -149,7 +149,7 @@ class TestCompareExtended:
 
 class TestCatalog:
     def test_expected_rows(self):
-        entries = catalog_map(terms_N=2000)
+        entries = catalog_map()
         pess = entries["pess"].cardinality
         assert pess.alpha == 1
         assert pess.delta == 0.5
@@ -163,37 +163,37 @@ class TestCatalog:
         assert (tz.alpha, tz.delta, tz.iota) == (0, 0.0, 0.0)
 
     def test_iota_values_negate_exactly(self):
-        entries = catalog_map(terms_N=500)
+        entries = catalog_map()
         assert entries["pess"].cardinality.iota + entries["zf"].cardinality.iota == 0
 
     def test_live_zeta_no_stale_constants(self):
-        lo = catalog_map(terms_N=500, precision_digits=25)
-        hi = catalog_map(terms_N=500, precision_digits=50)
+        lo = catalog_map(precision_digits=25)
+        hi = catalog_map(precision_digits=50)
         assert lo["pess"].cardinality.iota != hi["pess"].cardinality.iota
         # the perturbation shifts both signed values identically
         assert lo["pess"].cardinality.iota + lo["zf"].cardinality.iota == 0
         assert hi["pess"].cardinality.iota + hi["zf"].cardinality.iota == 0
 
     def test_grid_entries_match_similarity_dimension(self):
-        entries = catalog_map(terms_N=500)
+        entries = catalog_map()
         for entry_name, spec_name in CATALOG_GRIDS.items():
             spec = make_named_spec(spec_name)
             est = similarity_dimension(ifs_of_grid(spec).ratios)
             assert abs(entries[entry_name].cardinality.delta - est.value) < 1e-12
 
     def test_dim_vector_head_matches_delta(self):
-        for entry in catalog(terms_N=500):
+        for entry in catalog():
             card = entry.cardinality
             assert abs(card.dim_vector[0] - card.delta) <= COMPARE_TOL
 
     def test_names_unique(self):
-        names = [e.name for e in catalog(terms_N=500)]
+        names = [e.name for e in catalog()]
         assert len(names) == len(set(names))
 
 
 class TestConservation:
     def test_sum_exactly_zero(self):
-        report = conservation_report(terms_N=1000)
+        report = conservation_report()
         assert report.total == 0
         assert report.iota_pess > 0
         assert report.iota_zf < 0
@@ -201,22 +201,22 @@ class TestConservation:
             assert report.iota_pess == -report.iota_zf
 
     def test_values_match_zeta_half(self):
-        report = conservation_report(terms_N=2000)
+        report = conservation_report()
         assert abs(float(report.iota_pess) - 1.460354508809586) < 1e-12
 
     def test_caveat_marks_identity_as_definitional(self):
-        report = conservation_report(terms_N=500)
+        report = conservation_report()
         assert "definitional" in report.caveat
 
     def test_digit_stats_attached_when_given(self, zero_digits):
-        report = conservation_report(terms_N=500, zero_digits=zero_digits)
+        report = conservation_report(zero_digits=zero_digits)
         assert report.digit_stats is not None
         assert sum(report.digit_stats.counts) == len(zero_digits)
 
 
 class TestAxioms:
     def test_statuses(self):
-        checks = {c.axiom: c for c in axiom_suite(terms_N=500)}
+        checks = {c.axiom: c for c in axiom_suite()}
         assert checks["A1"].status == "pass"
         assert checks["A4"].status == "pass"
         assert checks["A7"].status == "pass"

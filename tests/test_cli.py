@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from fraczeta.cli import (
     main,
 )
 from fraczeta.errors import InputError
+from fraczeta.zeta import fraction_from_text
 
 
 def run_json(capsys, argv):
@@ -82,6 +84,21 @@ class TestConstruct:
         assert main(
             ["construct", "--zeros", "/nonexistent/zeros.txt", "--depth", "2"]
         ) == EXIT_INPUT
+
+    def test_order_standard_sorts_the_zero_file(self, capsys, tmp_path, zeros_path):
+        lines = [l for l in zeros_path.read_text().splitlines() if l and not l.startswith("#")]
+        unsorted = tmp_path / "unsorted.txt"
+        unsorted.write_text("\n".join([lines[2], lines[0], lines[1]]) + "\n")
+        ascending = tmp_path / "sorted.txt"
+        ascending.write_text("\n".join(lines[:3]) + "\n")
+        stages = [
+            run_json(
+                capsys,
+                ["construct", "--zeros", str(path), "--depth", "3", "--order", "standard"],
+            )["result"]
+            for path in (unsorted, ascending)
+        ]
+        assert stages[0] == stages[1]
 
 
 class TestDimension:
@@ -276,6 +293,39 @@ class TestReproducibility:
         assert payload["result"]["precision_digits"] == 25
 
 
+class TestManifestPrecision:
+    """The manifest records the precision the run used."""
+
+    def test_digitize_floor_is_recorded(self, capsys, zeros_path):
+        payload = run_json(
+            capsys,
+            ["zeros", "digitize", "--file", str(zeros_path), "--format", "json", "--digits", "10"],
+        )
+        assert payload["manifest"]["precision_digits"] == 40
+        assert payload["result"]["precision_digits"] == 40
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["zeros", "stats", "--file", "ZEROS"],
+            ["construct", "--zeros", "ZEROS", "--depth", "2"],
+            ["dimension", "--zeros", "ZEROS", "--method", "boxcount", "--depth", "4"],
+            ["conservation", "--zeros", "ZEROS"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_every_digitizing_path_records_the_floor(self, capsys, zeros_path, argv):
+        argv = [str(zeros_path) if a == "ZEROS" else a for a in argv]
+        payload = run_json(capsys, [*argv, "--digits", "30"])
+        assert payload["manifest"]["precision_digits"] == 40
+
+    def test_digits_zero_is_not_an_absent_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("FRACZETA_PRECISION", "25")
+        payload = run_json(capsys, ["construct", "pess", "--depth", "1", "--digits", "0"])
+        assert payload["manifest"]["precision_digits"] == 0
+        assert payload["manifest"]["parameters"]["digits"] == 0
+
+
 def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
@@ -303,7 +353,24 @@ EXIT_CASES = [
     (["perturb", "--bias", "0.6,0.9", "--depth", "6", "--trials", "20", "--seed", "3"], {}, EXIT_OK),
     (["zeros", "digitize", "--file", "ZEROS", "--format", "json", "--tol", "1e-3"], {}, EXIT_OK),
     (["zeta", "--s", "2/3", "--terms", "200", "--k", "6"], {"FRACZETA_PRECISION": "25"}, EXIT_OK),
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", "1e6"], {}, EXIT_DOMAIN),
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q=-1e6"], {}, EXIT_DOMAIN),
+    (["dimension", "pess", "--method", "boxcount", "--depth", "3", "--scales", "1e-400,1/4,1/16"], {}, EXIT_INPUT),
+    (["dimension", "pess", "--method", "boxcount", "--depth", "3", "--scales", "1e400,1/4,1/16"], {}, EXIT_INPUT),
+    # a huge decimal exponent is refused before Fraction builds the integer
+    (["dimension", "pess", "--method", "boxcount", "--depth", "3", "--scales", "1e9999999,1/4,1/16"], {}, EXIT_INPUT),
+    (["multifractal", "--ratios", "1e9999999,1/4", "--weights", "1/2,1/2", "--q", "1"], {}, EXIT_INPUT),
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1e-9999999,1/2", "--q", "1"], {}, EXIT_INPUT),
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q-range=0:1e9999999:1"], {}, EXIT_INPUT),
+    (["zeta", "--s", "1e9999999"], {}, EXIT_INPUT),
+    (["zeta", "--s", "1e1_0000000"], {}, EXIT_INPUT),
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q-range=1e400:1e400:1"], {}, EXIT_INPUT),
+    # --digits 0 is a value, not an absent flag
+    (["zeta", "--s", "2", "--terms", "50", "--k", "4", "--digits", "0"], {"FRACZETA_PRECISION": "25"}, EXIT_INPUT),
 ]
+
+# an error exit is reached within this many seconds
+ERROR_BUDGET_S = 1.0
 
 
 @pytest.mark.parametrize("argv,env,code", EXIT_CASES, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
@@ -314,7 +381,9 @@ def test_exit_codes(capsys, monkeypatch, tmp_path, zeros_path, argv, env, code):
     inf_zeros = tmp_path / "inf_zeros.txt"
     inf_zeros.write_text("14.134725141734693\ninf\n")
     files = {"ZEROS": str(zeros_path), "INF_ZEROS": str(inf_zeros)}
+    start = time.perf_counter()
     assert main([files.get(a, a) for a in argv]) == code
+    elapsed = time.perf_counter() - start
     out, err = capsys.readouterr()
     if code == EXIT_OK:
         assert err == ""
@@ -322,6 +391,7 @@ def test_exit_codes(capsys, monkeypatch, tmp_path, zeros_path, argv, env, code):
     else:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert elapsed < ERROR_BUDGET_S
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -343,7 +413,7 @@ class TestParseList:
         assert _parse_list(", ".join(map(str, values)), "--x", Fraction) == values
 
     @settings(max_examples=300)
-    @given(st.text(), st.sampled_from([int, Fraction, _finite_float]))
+    @given(st.text(), st.sampled_from([int, Fraction, _finite_float, fraction_from_text]))
     def test_text_parses_or_raises_input_error(self, text, conv):
         try:
             values = _parse_list(text, "--x", conv)

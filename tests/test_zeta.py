@@ -7,7 +7,9 @@ import pytest
 
 from fraczeta.errors import DomainError, InputError, PoleError
 from fraczeta.zeta import (
+    MAX_TEXT_EXPONENT,
     bernoulli_numbers,
+    fraction_from_text,
     functional_equation_residual,
     gamma_real,
     zeta_euler_maclaurin,
@@ -20,6 +22,25 @@ ZETA_HALF_REFERENCE = "-1.460354508809586812889499152515440424"
 def as_mpf(text, dps=60):
     with mp.workdps(dps):
         return mp.mpf(text)
+
+
+class TestFractionFromText:
+    @pytest.mark.parametrize(
+        "text,value",
+        [("2.5E-3", Fraction(1, 400)), ("-1/3", Fraction(-1, 3)), (" 7 ", Fraction(7)),
+         (f"1e{MAX_TEXT_EXPONENT}", Fraction(10**MAX_TEXT_EXPONENT)),
+         (f"1e-{MAX_TEXT_EXPONENT}", Fraction(1, 10**MAX_TEXT_EXPONENT)),
+         ("1e0001000", Fraction(10**1000))],
+    )
+    def test_matches_fraction(self, text, value):
+        assert fraction_from_text(text) == value
+
+    @pytest.mark.parametrize(
+        "text", [f"1e{MAX_TEXT_EXPONENT + 1}", "1e-9999999", "1E+9999999999", "1e1_0000000", "x"]
+    )
+    def test_rejects_large_exponents_and_garbage(self, text):
+        with pytest.raises(ValueError):
+            fraction_from_text(text)
 
 
 class TestBernoulli:
