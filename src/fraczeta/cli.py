@@ -70,18 +70,14 @@ from .zeros import (
 from .zeta import DEFAULT_PRECISION_DIGITS, fraction_from_text, zeta_euler_maclaurin
 
 EXIT_OK = 0
-EXIT_UNEXPECTED = 1
-EXIT_INPUT = 3
-EXIT_CAPACITY = 4
-EXIT_DOMAIN = 5
-EXIT_PARSE = 6
+EXIT_UNEXPECTED = FraczetaError.exit_code
+EXIT_INPUT = InputError.exit_code
+EXIT_CAPACITY = CapacityError.exit_code
+EXIT_DOMAIN = DomainError.exit_code
+EXIT_PARSE = ParseError.exit_code
 
-_ERROR_CODES = (
-    (CapacityError, EXIT_CAPACITY),
-    (ParseError, EXIT_PARSE),
-    (DomainError, EXIT_DOMAIN),
-    (InputError, EXIT_INPUT),
-)
+# each q point costs about 0.24 ms, so a full grid takes about 2.4 s
+MAX_Q_POINTS = 10_000
 
 
 def default_precision() -> int:
@@ -190,7 +186,7 @@ def _spec_from_args(args, digits: int) -> GridSpec:
     return GridSpec(base=args.modq, label=f"mod{args.modq}", constant=tuple(keep))
 
 
-def cmd_construct(args, digits: int) -> int:
+def cmd_construct(args, digits: int) -> None:
     spec = _spec_from_args(args, digits)
     stage = build_stage(spec, args.depth)
     # write_stage_csv streams without a cap, so the CSV path relies on this
@@ -202,10 +198,9 @@ def cmd_construct(args, digits: int) -> int:
         buf = io.StringIO()
         write_stage_csv(stage, buf, comments=[_manifest_comment(manifest)])
         _write_text(args, buf.getvalue())
-    return EXIT_OK
 
 
-def cmd_dimension(args, digits: int) -> int:
+def cmd_dimension(args, digits: int) -> None:
     spec = _spec_from_args(args, digits)
     manifest = _manifest(args, digits, label=spec.label)
     if args.method == "similarity":
@@ -238,7 +233,6 @@ def cmd_dimension(args, digits: int) -> int:
             ],
         }
     _emit_json(args, manifest, result)
-    return EXIT_OK
 
 
 def _zeta_json(zv, digits: int) -> dict:
@@ -251,12 +245,11 @@ def _zeta_json(zv, digits: int) -> dict:
     }
 
 
-def cmd_zeta(args, digits: int) -> int:
+def cmd_zeta(args, digits: int) -> None:
     zv = zeta_euler_maclaurin(args.s, args.terms, args.k, digits)
     manifest = _manifest(args, digits)
     result = {**_zeta_json(zv, digits), "precision_digits": zv.precision_digits}
     _emit_json(args, manifest, result)
-    return EXIT_OK
 
 
 def _load_table(args):
@@ -271,7 +264,7 @@ def _load_table(args):
     return table
 
 
-def cmd_zeros_digitize(args, digits: int) -> int:
+def cmd_zeros_digitize(args, digits: int) -> None:
     table = _load_table(args)
     seq = digitize(table, digits, args.tol)
     manifest = _manifest(args, digits, ordering=table.ordering)
@@ -300,10 +293,9 @@ def cmd_zeros_digitize(args, digits: int) -> int:
                 f"{str(e.boundary_flag).lower()}"
             )
         _write_text(args, "\n".join(lines) + "\n")
-    return EXIT_OK
 
 
-def cmd_zeros_stats(args, digits: int) -> int:
+def cmd_zeros_stats(args, digits: int) -> None:
     table = _load_table(args)
     seq = digitize(table, digits, args.tol)
     stats = digit_stats(seq)
@@ -314,18 +306,16 @@ def cmd_zeros_stats(args, digits: int) -> int:
         "boundary_flags": sum(1 for e in seq if e.boundary_flag),
     }
     _emit_json(args, manifest, result)
-    return EXIT_OK
 
 
-def cmd_zeros_reorder(args, digits: int) -> int:
+def cmd_zeros_reorder(args, digits: int) -> None:
     table = _load_table(args)
     manifest = _manifest(args, digits, ordering=table.ordering)
     lines = [f"# {_manifest_comment(manifest)}", *table.gamma_strings]
     _write_text(args, "\n".join(lines) + "\n")
-    return EXIT_OK
 
 
-def cmd_compare(args, digits: int) -> int:
+def cmd_compare(args, digits: int) -> None:
     entries = catalog_map(precision_digits=digits)
     missing = [n for n in (args.a, args.b) if n not in entries]
     if missing:
@@ -341,7 +331,6 @@ def cmd_compare(args, digits: int) -> int:
         rel, trace = compare_trace(a, b)
         result = {"mode": "lexicographic", "result": rel, "trace": trace}
     _emit_json(args, manifest, result)
-    return EXIT_OK
 
 
 def _catalog_rows(digits: int):
@@ -363,12 +352,12 @@ def _catalog_rows(digits: int):
     return rows
 
 
-def cmd_catalog(args, digits: int) -> int:
+def cmd_catalog(args, digits: int) -> None:
     rows = _catalog_rows(digits)
     manifest = _manifest(args, digits)
     if args.format == "json":
         _emit_json(args, manifest, rows)
-        return EXIT_OK
+        return
     table_rows = [["Set", "alpha", "delta", "iota", "I(M)"]]
     for r in rows:
         delta_txt = f"{r['delta']:.6g}"
@@ -385,7 +374,6 @@ def cmd_catalog(args, digits: int) -> int:
             ]
         )
     _write_text(args, "\n".join(_text_table(table_rows)) + "\n")
-    return EXIT_OK
 
 
 def _pair_table(report) -> str:
@@ -408,13 +396,13 @@ def _pair_table(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_conservation(args, digits: int) -> int:
+def cmd_conservation(args, digits: int) -> None:
     seq = digitize(parse_zero_file(args.zeros), digits) if args.zeros else None
     report = conservation_report(precision_digits=digits, zero_digits=seq)
     manifest = _manifest(args, digits)
     if args.format == "table":
         _write_text(args, _pair_table(report))
-        return EXIT_OK
+        return
     result = {
         "iota_pess": _mpf_str(report.iota_pess, digits),
         "iota_zf": _mpf_str(report.iota_zf, digits),
@@ -426,17 +414,15 @@ def cmd_conservation(args, digits: int) -> int:
     if report.digit_stats is not None:
         result["digit_stats"] = asdict(report.digit_stats)
     _emit_json(args, manifest, result)
-    return EXIT_OK
 
 
-def cmd_axioms(args, digits: int) -> int:
+def cmd_axioms(args, digits: int) -> None:
     checks = axiom_suite(precision_digits=digits)
     manifest = _manifest(args, digits)
     _emit_json(args, manifest, [asdict(c) for c in checks])
-    return EXIT_OK
 
 
-def cmd_perturb(args, digits: int) -> int:
+def cmd_perturb(args, digits: int) -> None:
     if (args.p is None) == (args.bias is None):
         raise InputError("give exactly one of --p or --bias p1,p3")
     if args.p is not None:
@@ -470,7 +456,6 @@ def cmd_perturb(args, digits: int) -> int:
         with open(args.per_trial, "w") as fp:
             fp.write("\n".join(lines) + "\n")
     _emit_json(args, manifest, result)
-    return EXIT_OK
 
 
 def _parse_q_grid(args) -> list[float]:
@@ -489,15 +474,13 @@ def _parse_q_grid(args) -> list[float]:
         raise InputError("--q-range needs step > 0 and stop >= start")
     if max(abs(start), abs(stop)) > sys.float_info.max:
         raise InputError("--q-range bounds must lie within the double range")
-    grid = []
-    q = start
-    while q <= stop:
-        grid.append(float(q))
-        q += step
-    return grid
+    count = (stop - start) // step + 1
+    if count > MAX_Q_POINTS:
+        raise CapacityError(f"--q-range has {count} points; the cap is {MAX_Q_POINTS}")
+    return [float(start + i * step) for i in range(count)]
 
 
-def cmd_multifractal(args, digits: int) -> int:
+def cmd_multifractal(args, digits: int) -> None:
     ratios = _parse_list(args.ratios, "--ratios", fraction_from_text)
     weights = _parse_list(args.weights, "--weights", fraction_from_text)
     if len(ratios) != len(weights):
@@ -513,7 +496,6 @@ def cmd_multifractal(args, digits: int) -> int:
     points = multifractal_spectrum(ifs, _parse_q_grid(args))
     manifest = _manifest(args, digits)
     _emit_json(args, manifest, [asdict(p) for p in points])
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -623,13 +605,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, _precision(args))
+        args.func(args, _precision(args))
     except FraczetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for err_type, code in _ERROR_CODES:
-            if isinstance(exc, err_type):
-                return code
-        return EXIT_UNEXPECTED
+        return exc.exit_code
+    return EXIT_OK
 
 
 def entry() -> None:

@@ -181,16 +181,12 @@ def _tau_solver(ifs: GeneralIfsSpec):
     return tau
 
 
-def multifractal_spectrum(
-    ifs: GeneralIfsSpec,
-    q_grid: Sequence[float],
-    diff_step: float = DIFF_STEP,
-) -> list[MultifractalPoint]:
+def multifractal_spectrum(ifs: GeneralIfsSpec, q_grid: Sequence[float]) -> list[MultifractalPoint]:
     """Moment exponents and the local-dimension spectrum on a q grid.
 
     tau(q) is bisected to machine precision so the central difference
-    alpha(q) = -(tau(q+h) - tau(q-h)) / 2h stays well below the step's
-    own truncation error.
+    alpha(q) = -(tau(q+h) - tau(q-h)) / 2h with h = DIFF_STEP stays well
+    below the step's own truncation error.
     """
     tau = _tau_solver(ifs)
     points = []
@@ -198,7 +194,7 @@ def multifractal_spectrum(
         try:
             q = float(q)
             t = tau(q)
-            alpha = -(tau(q + diff_step) - tau(q - diff_step)) / (2 * diff_step)
+            alpha = -(tau(q + DIFF_STEP) - tau(q - DIFF_STEP)) / (2 * DIFF_STEP)
         except OverflowError as exc:
             raise DomainError(
                 f"q = {q}: the moments p**q * r**tau overflow a double; use a smaller |q|"

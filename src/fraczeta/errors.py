@@ -1,28 +1,38 @@
 """Exception hierarchy shared by all fraczeta modules.
 
-The four leaf categories (input, capacity, domain, parse) map one-to-one
-onto the CLI exit codes documented in :mod:`fraczeta.cli`.
+Each class carries the CLI exit code its errors end with (see
+:mod:`fraczeta.cli`); subclasses inherit their category's code.
 """
 
 
 class FraczetaError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+
 
 class InputError(FraczetaError):
     """A caller-supplied value violates an operation's contract."""
+
+    exit_code = 3
 
 
 class CapacityError(FraczetaError):
     """An explicit enumeration would exceed the configured cap."""
 
+    exit_code = 4
+
 
 class DomainError(FraczetaError):
     """A numeric argument lies outside the mathematical domain."""
 
+    exit_code = 5
+
 
 class ParseError(FraczetaError):
     """A data file could not be parsed; message carries the line number."""
+
+    exit_code = 6
 
 
 class AddressError(InputError):

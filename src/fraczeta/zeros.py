@@ -21,6 +21,7 @@ from pathlib import Path
 import mpmath as mp
 
 from .errors import InputError, ParseError
+from .zeta import check_text_exponent
 
 DEFAULT_DIGITIZE_DPS = 50
 MIN_DIGITIZE_DPS = 40
@@ -81,6 +82,29 @@ class DigitStats:
     reject_at_05: bool
 
 
+def _data_lines(path, kind: str):
+    """(line number, raw line, stripped line) for each data line of a text file.
+
+    Blank lines and '#' comments are skipped.  A line ending in a decimal
+    exponent above ``MAX_TEXT_EXPONENT`` is refused before any parser
+    expands it into a huge integer.
+    """
+    p = Path(path)
+    try:
+        text = p.read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read {kind} file {p}: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        token = raw.strip()
+        if not token or token.startswith("#"):
+            continue
+        try:
+            check_text_exponent(token)
+        except ValueError as exc:
+            raise ParseError(f"{p}: line {lineno}: {exc}") from exc
+        yield lineno, raw, token
+
+
 def parse_zero_file(path) -> ZeroTable:
     """Read a one-ordinate-per-line text file into a ZeroTable.
 
@@ -88,16 +112,9 @@ def parse_zero_file(path) -> ZeroTable:
     not a decimal number raises a parse error naming the line.
     """
     p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read zero file {p}: {exc}") from exc
     gammas: list[Fraction] = []
     strings: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        token = raw.strip()
-        if not token or token.startswith("#"):
-            continue
+    for lineno, raw, token in _data_lines(p, "zero"):
         try:
             value = Fraction(Decimal(token))
         except (InvalidOperation, ValueError, OverflowError) as exc:
@@ -157,6 +174,17 @@ def digitize(
     )
 
 
+def _permuted(table: ZeroTable, order, ordering: str) -> ZeroTable:
+    """The table's rows in ``order`` (0-based indices), labelled ``ordering``."""
+    return replace(
+        table,
+        gammas=tuple(table.gammas[i] for i in order),
+        gamma_strings=tuple(table.gamma_strings[i] for i in order),
+        ordering=ordering,
+        ordering_warning=None,
+    )
+
+
 def reorder(table: ZeroTable, mode: str, seed: int | None = None) -> ZeroTable:
     """Return the table sorted ascending or deterministically shuffled."""
     if len(table) == 0:
@@ -164,24 +192,13 @@ def reorder(table: ZeroTable, mode: str, seed: int | None = None) -> ZeroTable:
     indices = list(range(len(table)))
     if mode == "standard":
         indices.sort(key=lambda i: table.gammas[i])
-        ordering = "standard"
-        warning = None
-    elif mode == "random":
+        return _permuted(table, indices, "standard")
+    if mode == "random":
         if seed is None:
             raise InputError("random reorder needs a seed")
-        rng = random.Random(seed)
-        rng.shuffle(indices)  # Fisher-Yates under the hood
-        ordering = f"random(seed={seed})"
-        warning = None
-    else:
-        raise InputError(f"unknown reorder mode {mode!r}; use standard or random")
-    return replace(
-        table,
-        gammas=tuple(table.gammas[i] for i in indices),
-        gamma_strings=tuple(table.gamma_strings[i] for i in indices),
-        ordering=ordering,
-        ordering_warning=warning,
-    )
+        random.Random(seed).shuffle(indices)  # Fisher-Yates under the hood
+        return _permuted(table, indices, f"random(seed={seed})")
+    raise InputError(f"unknown reorder mode {mode!r}; use standard or random")
 
 
 def reorder_external_weights(table: ZeroTable, weights_path) -> ZeroTable:
@@ -191,15 +208,8 @@ def reorder_external_weights(table: ZeroTable, weights_path) -> ZeroTable:
     appear exactly once.  Ties sort by index.
     """
     p = Path(weights_path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read weight file {p}: {exc}") from exc
     weights: dict[int, Fraction] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        token = raw.strip()
-        if not token or token.startswith("#"):
-            continue
+    for lineno, raw, token in _data_lines(p, "weight"):
         parts = token.split()
         if len(parts) != 2:
             raise ParseError(f"{p}: line {lineno}: expected 'index weight', got {raw!r}")
@@ -219,14 +229,8 @@ def reorder_external_weights(table: ZeroTable, weights_path) -> ZeroTable:
             f"{p}: weight indices must cover 1..{len(table)} exactly "
             f"(missing {missing[:5]}, unexpected {extra[:5]})"
         )
-    order = sorted(expected, key=lambda i: (weights[i], i))
-    return replace(
-        table,
-        gammas=tuple(table.gammas[i - 1] for i in order),
-        gamma_strings=tuple(table.gamma_strings[i - 1] for i in order),
-        ordering=f"external-weights({p})",
-        ordering_warning=None,
-    )
+    order = sorted(range(len(table)), key=lambda i: (weights[i + 1], i))
+    return _permuted(table, order, f"external-weights({p})")
 
 
 def digit_stats(digits) -> DigitStats:

@@ -7,15 +7,15 @@ The evaluator computes, at a configurable decimal working precision,
             + N^(-s)/2
             + sum_{k=1}^{K} B_{2k}/(2k)! * s(s+1)...(s+2k-2) * N^(-s-2k+1)
 
-with exact-rational Bernoulli numbers and an observable truncation bound:
-``error_bound`` is the magnitude the k = K+1 correction term would have.
-A real Gamma function (Stirling series after argument shifting) and the
-s <-> 1-s functional-equation residual complete the engine.
+with exact-rational Bernoulli numbers (``mpmath.bernfrac``) and an
+observable truncation bound: ``error_bound`` is the magnitude the k = K+1
+correction term would have.  A real Gamma function (``mpmath.gamma`` at
+guard precision) and the s <-> 1-s functional-equation residual complete
+the engine.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +27,11 @@ from .errors import DomainError, InputError, PoleError
 DEFAULT_PRECISION_DIGITS = 50
 MAX_CORRECTION_K = 30
 
+# Above this s, zeta(s) - 1 < 2^(1-s) is below 10^-300000, so the value is 1
+# at any usable precision, while each power n^-s costs more as s grows
+# (s = 1e100 takes about 20 s at the default N).
+MAX_ZETA_S = 10**6
+
 # Internal guard digits so the last reported digit is trustworthy.
 _GUARD = 10
 
@@ -35,27 +40,24 @@ _GUARD = 10
 MAX_TEXT_EXPONENT = 1000
 _TEXT_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
-
 
 def bernoulli_numbers(upto: int) -> list[Fraction]:
-    """Exact B_0..B_upto via the defining recurrence; cached across calls."""
-    while len(_bernoulli_cache) <= upto:
-        m = len(_bernoulli_cache)
-        acc = Fraction(0)
-        for j, bj in enumerate(_bernoulli_cache):
-            acc += math.comb(m + 1, j) * bj
-        _bernoulli_cache.append(-acc / (m + 1))
-    return _bernoulli_cache[: upto + 1]
+    """Exact B_0..B_upto (B_1 = -1/2) from mpmath."""
+    return [Fraction(*mp.bernfrac(k)) for k in range(upto + 1)]
 
 
-def fraction_from_text(text: str) -> Fraction:
-    """``Fraction(text)``, refusing a decimal exponent above ``MAX_TEXT_EXPONENT``."""
+def check_text_exponent(text: str) -> None:
+    """Raise ``ValueError`` if ``text`` ends in a decimal exponent above ``MAX_TEXT_EXPONENT``."""
     m = _TEXT_EXPONENT.search(text)
     if m:
         exponent = m.group(1).replace("_", "").lstrip("0") or "0"
         if len(exponent) > len(str(MAX_TEXT_EXPONENT)) or int(exponent) > MAX_TEXT_EXPONENT:
             raise ValueError(f"decimal exponent of {text!r} exceeds {MAX_TEXT_EXPONENT}")
+
+
+def fraction_from_text(text: str) -> Fraction:
+    """``Fraction(text)``, refusing a decimal exponent above ``MAX_TEXT_EXPONENT``."""
+    check_text_exponent(text)
     return Fraction(text)
 
 
@@ -94,8 +96,7 @@ class ZetaValue:
 
 
 def _correction_term(s_mp: mp.mpf, n_mp: mp.mpf, k: int, rising: mp.mpf) -> mp.mpf:
-    b2k = bernoulli_numbers(2 * k)[2 * k]
-    coeff = _frac_to_mpf(b2k) / mp.factorial(2 * k)
+    coeff = _frac_to_mpf(Fraction(*mp.bernfrac(2 * k))) / mp.factorial(2 * k)
     return coeff * rising * mp.power(n_mp, -s_mp - 2 * k + 1)
 
 
@@ -119,6 +120,8 @@ def zeta_euler_maclaurin(
             f"s = {s_exact} is out of range; evaluate via the functional "
             "equation for arguments <= 0"
         )
+    if s_exact > MAX_ZETA_S:
+        raise DomainError(f"s > {MAX_ZETA_S} is out of range: zeta(s) - 1 < 2^(1-s) there")
     if terms_N < 2:
         raise InputError(f"terms_N must be >= 2, got {terms_N}")
     if not (1 <= correction_K <= MAX_CORRECTION_K):
@@ -155,29 +158,12 @@ def zeta_euler_maclaurin(
 
 
 def gamma_real(x, precision_digits: int = DEFAULT_PRECISION_DIGITS) -> mp.mpf:
-    """Gamma(x) for real x > 0 by Stirling's series after shifting.
-
-    The argument is raised by the recurrence Gamma(x) = Gamma(x+m)/poch
-    until the Stirling tail with at most 30 Bernoulli terms is below the
-    target precision, so accuracy tracks ``precision_digits``.
-    """
+    """Gamma(x) for real x > 0, evaluated with guard digits and then rounded."""
     x_exact = _to_exact(x)
     if x_exact <= 0:
         raise DomainError(f"gamma_real needs x > 0, got {x_exact}")
-    dps = precision_digits + _GUARD
-    # Stirling remainder ~ B_60-term ~ 3.5e30 / z^59: keep it under 10^-dps.
-    shift_target = max(20.0, 10 ** ((30 + dps) / 59) + 2)
-    with mp.workdps(dps):
-        z = _frac_to_mpf(x_exact)
-        poch = mp.mpf(1)
-        while z < shift_target:
-            poch *= z
-            z += 1
-        lng = (z - mp.mpf(1) / 2) * mp.log(z) - z + mp.log(2 * mp.pi) / 2
-        for k in range(1, MAX_CORRECTION_K + 1):
-            b2k = bernoulli_numbers(2 * k)[2 * k]
-            lng += _frac_to_mpf(b2k) / (2 * k * (2 * k - 1) * mp.power(z, 2 * k - 1))
-        result = mp.exp(lng) / poch
+    with mp.workdps(precision_digits + _GUARD):
+        result = mp.gamma(_frac_to_mpf(x_exact))
     with mp.workdps(precision_digits):
         return +result
 

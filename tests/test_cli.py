@@ -1,5 +1,6 @@
 """Command-line surface: payloads, manifests, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -18,12 +19,23 @@ from fraczeta.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_PARSE,
+    MAX_Q_POINTS,
     _finite_float,
     _parse_list,
+    _parse_q_grid,
     _text_table,
     main,
 )
-from fraczeta.errors import InputError
+from fraczeta.errors import (
+    AddressError,
+    CapacityError,
+    DomainError,
+    FraczetaError,
+    InputError,
+    ParseError,
+    PoleError,
+    UnsupportedStructureError,
+)
 from fraczeta.zeta import fraction_from_text
 
 
@@ -331,7 +343,8 @@ def _reject_constant(name):
 
 
 # (argv, environment, exit code); ZEROS stands for the shipped zero file,
-# INF_ZEROS for a zero file with an 'inf' line.
+# INF_ZEROS for a zero file with an 'inf' line, HUGE_ZEROS and HUGE_WEIGHTS
+# for a zero file and a weight file with a '1e999999' line.
 EXIT_CASES = [
     (["perturb", "--bias", "x,0.5", "--depth", "5", "--trials", "5", "--seed", "1"], {}, EXIT_INPUT),
     (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", "nan"], {}, EXIT_INPUT),
@@ -367,6 +380,13 @@ EXIT_CASES = [
     (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q-range=1e400:1e400:1"], {}, EXIT_INPUT),
     # --digits 0 is a value, not an absent flag
     (["zeta", "--s", "2", "--terms", "50", "--k", "4", "--digits", "0"], {"FRACZETA_PRECISION": "25"}, EXIT_INPUT),
+    # a huge exponent in a data file is refused before it is expanded
+    (["zeros", "stats", "--file", "HUGE_ZEROS"], {}, EXIT_PARSE),
+    (["zeros", "reorder", "--file", "ZEROS", "--mode", "external", "--weights", "HUGE_WEIGHTS"], {}, EXIT_PARSE),
+    # the q grid is counted before it is built
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q-range=0:1:1e-6"], {}, EXIT_CAPACITY),
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q-range=0:1e300:1"], {}, EXIT_CAPACITY),
+    (["zeta", "--s", "1e400"], {}, EXIT_DOMAIN),
 ]
 
 # an error exit is reached within this many seconds
@@ -378,9 +398,14 @@ def test_exit_codes(capsys, monkeypatch, tmp_path, zeros_path, argv, env, code):
     monkeypatch.delenv("FRACZETA_PRECISION", raising=False)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
-    inf_zeros = tmp_path / "inf_zeros.txt"
-    inf_zeros.write_text("14.134725141734693\ninf\n")
-    files = {"ZEROS": str(zeros_path), "INF_ZEROS": str(inf_zeros)}
+    files = {"ZEROS": str(zeros_path)}
+    for name, text in (
+        ("INF_ZEROS", "14.134725141734693\ninf\n"),
+        ("HUGE_ZEROS", "14.134725141734693\n1e999999\n"),
+        ("HUGE_WEIGHTS", "1 0.5\n2 1e999999\n"),
+    ):
+        files[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
     start = time.perf_counter()
     assert main([files.get(a, a) for a in argv]) == code
     elapsed = time.perf_counter() - start
@@ -392,6 +417,26 @@ def test_exit_codes(capsys, monkeypatch, tmp_path, zeros_path, argv, env, code):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert elapsed < ERROR_BUDGET_S
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [(FraczetaError, 1), (InputError, 3), (CapacityError, 4), (DomainError, 5), (ParseError, 6),
+     (PoleError, 5), (UnsupportedStructureError, 3), (AddressError, 3)],
+)
+def test_error_classes_carry_their_documented_exit_codes(error, code):
+    assert error.exit_code == code
+
+
+def test_q_grid_is_capped_by_its_point_count():
+    def grid(q_range):
+        return _parse_q_grid(argparse.Namespace(q=None, q_range=q_range))
+
+    full = grid(f"0:1:1/{MAX_Q_POINTS - 1}")
+    assert len(full) == MAX_Q_POINTS and full[-1] == 1.0
+    assert grid("-1:1.9:0.5") == [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5]
+    with pytest.raises(CapacityError, match=f"{MAX_Q_POINTS + 1} points"):
+        grid(f"0:1:1/{MAX_Q_POINTS}")
 
 
 def test_cli_import_leaves_numpy_unloaded():

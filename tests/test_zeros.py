@@ -14,6 +14,7 @@ from fraczeta.zeros import (
     reorder,
     reorder_external_weights,
 )
+from fraczeta.zeta import MAX_TEXT_EXPONENT
 
 GAMMA_1 = "14.134725141734693"
 GAMMA_2 = "21.022039638771555"
@@ -53,6 +54,13 @@ class TestParse:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(InputError):
             parse_zero_file(tmp_path / "absent.txt")
+
+    def test_exponent_bound(self, tmp_path):
+        path = write_zero_file(tmp_path, f"{GAMMA_1}\n1E+{MAX_TEXT_EXPONENT}\n")
+        assert parse_zero_file(path).gammas[1] == 10**MAX_TEXT_EXPONENT
+        path.write_text(f"{GAMMA_1}\n# 1e999999\n1e{MAX_TEXT_EXPONENT + 1}\n")
+        with pytest.raises(ParseError, match="line 3: decimal exponent"):
+            parse_zero_file(path)
 
     def test_nonpositive_value_rejected(self, tmp_path):
         path = write_zero_file(tmp_path, "-3.5\n")
@@ -182,6 +190,16 @@ class TestReorder:
         weights = tmp_path / "w.txt"
         weights.write_text("1 0.9\n2 inf\n")
         with pytest.raises(ParseError, match="line 2"):
+            reorder_external_weights(parse_zero_file(zeros), weights)
+
+    def test_weight_exponent_bound(self, tmp_path):
+        zeros = tmp_path / "z.txt"
+        zeros.write_text("10.5\n20.5\n")
+        weights = tmp_path / "w.txt"
+        weights.write_text(f"1 1e-{MAX_TEXT_EXPONENT}\n2 0.1\n")
+        assert reorder_external_weights(parse_zero_file(zeros), weights).gammas[0] == Fraction(21, 2)
+        weights.write_text(f"1 0.9\n2 1e-{MAX_TEXT_EXPONENT + 1}\n")
+        with pytest.raises(ParseError, match="line 2: decimal exponent"):
             reorder_external_weights(parse_zero_file(zeros), weights)
 
 

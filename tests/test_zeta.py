@@ -1,13 +1,17 @@
 """Euler-Maclaurin zeta, Gamma, and the functional-equation residual."""
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraczeta.errors import DomainError, InputError, PoleError
 from fraczeta.zeta import (
     MAX_TEXT_EXPONENT,
+    MAX_ZETA_S,
     bernoulli_numbers,
     fraction_from_text,
     functional_equation_residual,
@@ -55,6 +59,13 @@ class TestBernoulli:
     def test_odd_entries_vanish(self):
         table = bernoulli_numbers(13)
         assert all(table[k] == 0 for k in range(3, 14, 2))
+
+    def test_defining_recurrence(self):
+        # sum_{j=0}^{m} C(m+1, j) B_j = 0 for every m >= 1
+        table = bernoulli_numbers(62)
+        assert len(table) == 63
+        for m in range(1, 63):
+            assert sum(math.comb(m + 1, j) * table[j] for j in range(m + 1)) == 0, m
 
 
 class TestZeta:
@@ -120,6 +131,11 @@ class TestZeta:
         with pytest.raises(DomainError):
             zeta_euler_maclaurin(0, 100, 5, 30)
 
+    def test_largest_s_is_evaluated_and_beyond_is_rejected(self):
+        assert zeta_euler_maclaurin(MAX_ZETA_S, 50, 4, 30).value == 1
+        with pytest.raises(DomainError, match="out of range"):
+            zeta_euler_maclaurin(MAX_ZETA_S + Fraction(1, 10**6), 50, 4, 30)
+
     def test_parameter_validation(self):
         with pytest.raises(InputError):
             zeta_euler_maclaurin(2, 1, 5, 30)
@@ -148,6 +164,18 @@ class TestGamma:
             g = gamma_real(x)
             g1 = gamma_real(Fraction(x) + 1)
             assert abs(g1 - Fraction(x) * g) / g1 < 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.fractions(min_value=Fraction(1, 10**6), max_value=1000, max_denominator=10**6),
+        st.sampled_from([20, 30, 50, 100]),
+    )
+    def test_recurrence_to_all_but_one_digit(self, x, digits):
+        g = gamma_real(x, digits)
+        g1 = gamma_real(x + 1, digits)
+        with mp.workdps(digits + 10):
+            rel = abs(g1 - mp.mpf(x.numerator) / x.denominator * g) / g1
+        assert rel < mp.mpf(10) ** -(digits - 1)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
