@@ -108,6 +108,7 @@ class CatalogEntry:
     name: str
     cardinality: InfoCardinality
     notes: str
+    zeta: ZetaValue | None = None  # the evaluation a live iota comes from
 
 
 def _exact_as_fraction(exact: ExactDelta | None) -> Fraction | None:
@@ -208,12 +209,8 @@ CATALOG_GRIDS = {
 }
 
 
-# Euler-Maclaurin (N, K) behind every zeta(1/2) report value
-REPORT_ZETA_TERMS = (2000, 10)
-
-
 def _zeta_half(precision_digits: int) -> ZetaValue:
-    return zeta_euler_maclaurin(Fraction(1, 2), *REPORT_ZETA_TERMS, precision_digits)
+    return zeta_euler_maclaurin(Fraction(1, 2), precision_digits=precision_digits)
 
 
 def catalog(precision_digits: int = DEFAULT_PRECISION_DIGITS) -> list[CatalogEntry]:
@@ -222,11 +219,12 @@ def catalog(precision_digits: int = DEFAULT_PRECISION_DIGITS) -> list[CatalogEnt
     One shared zeta(1/2) evaluation feeds the two signed information
     values, so they negate each other bit for bit.
     """
-    z = _zeta_half(precision_digits).value
+    zv = _zeta_half(precision_digits)
+    z = zv.value
     with mp.workdps(precision_digits):
         neg_z = -z  # negate at full precision; ambient context would round
 
-    def entry(name, countable, delta_exact, iota, iota_prov, notes):
+    def entry(name, countable, delta_exact, iota, iota_prov, notes, zeta=None):
         frac = _exact_as_fraction(delta_exact)
         delta = float(frac) if frac is not None else delta_exact.as_float()
         card = InfoCardinality(
@@ -237,12 +235,13 @@ def catalog(precision_digits: int = DEFAULT_PRECISION_DIGITS) -> list[CatalogEnt
             dim_vector=(delta, delta),  # Hausdorff and box coincide here
             provenance={"alpha": "defined", "delta": "computed", "iota": iota_prov},
         )
-        return CatalogEntry(name=name, cardinality=card, notes=notes)
+        return CatalogEntry(name=name, cardinality=card, notes=notes, zeta=zeta)
 
     return [
         entry(
             "pess", False, LogRatio(2, 4), neg_z, "defined",
             "base-4 grid keeping digit positions 1 and 3; iota = -zeta(1/2), live",
+            zv,
         ),
         entry(
             "cantor13", False, LogRatio(2, 8), 0.0, "default-zero",
@@ -251,6 +250,7 @@ def catalog(precision_digits: int = DEFAULT_PRECISION_DIGITS) -> list[CatalogEnt
         entry(
             "zf", False, LogRatio(2, 4), z, "defined",
             "base-4 grid driven by zero digits; iota = zeta(1/2), live",
+            zv,
         ),
         entry(
             "unit-interval", False, Fraction(1), 0.0, "default-zero",

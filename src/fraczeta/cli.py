@@ -67,7 +67,12 @@ from .zeros import (
     reorder,
     reorder_external_weights,
 )
-from .zeta import DEFAULT_PRECISION_DIGITS, fraction_from_text, zeta_euler_maclaurin
+from .zeta import (
+    DEFAULT_PRECISION_DIGITS,
+    check_precision,
+    fraction_from_text,
+    zeta_euler_maclaurin,
+)
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = FraczetaError.exit_code
@@ -136,6 +141,18 @@ def _mpf_str(value, digits: int) -> str:
     # conversion must run at full precision; mp.mpf rounds to the context
     with mp.workdps(max(digits, mp.mp.dps)):
         return mp.nstr(mp.mpf(value), digits)
+
+
+def _zeta_str(value, zv, digits: int) -> str:
+    """``value``, derived from the evaluation ``zv``, to the ``digits`` asked
+    for, or to fewer when the truncation bound certifies fewer."""
+    shown = min(digits, zv.certified_digits)
+    if shown < 1:
+        raise InputError(
+            f"N = {zv.terms_N}, K = {zv.correction_K} certify no digit of zeta({zv.s}) "
+            f"(error bound {mp.nstr(zv.error_bound, 3)}); raise --terms or lower --k"
+        )
+    return _mpf_str(value, shown)
 
 
 def _finite_float(text: str) -> float:
@@ -238,7 +255,7 @@ def cmd_dimension(args, digits: int) -> None:
 def _zeta_json(zv, digits: int) -> dict:
     return {
         "s": str(zv.s),
-        "value": _mpf_str(zv.value, digits),
+        "value": _zeta_str(zv.value, zv, digits),
         "terms_N": zv.terms_N,
         "correction_K": zv.correction_K,
         "error_bound": _mpf_str(zv.error_bound, 10),
@@ -247,7 +264,7 @@ def _zeta_json(zv, digits: int) -> dict:
 
 def cmd_zeta(args, digits: int) -> None:
     zv = zeta_euler_maclaurin(args.s, args.terms, args.k, digits)
-    manifest = _manifest(args, digits)
+    manifest = _manifest(args, digits, terms=zv.terms_N, k=zv.correction_K)
     result = {**_zeta_json(zv, digits), "precision_digits": zv.precision_digits}
     _emit_json(args, manifest, result)
 
@@ -343,7 +360,10 @@ def _catalog_rows(digits: int):
                 "alpha": c.alpha,
                 "delta": c.delta,
                 "delta_exact": str(c.delta_exact) if c.delta_exact is not None else None,
-                "iota": _mpf_str(c.iota, digits),
+                "iota": (
+                    _mpf_str(c.iota, digits) if e.zeta is None
+                    else _zeta_str(c.iota, e.zeta, digits)
+                ),
                 "dim_vector": list(c.dim_vector) if c.dim_vector else None,
                 "provenance": dict(c.provenance),
                 "notes": e.notes,
@@ -378,8 +398,9 @@ def cmd_catalog(args, digits: int) -> None:
 
 def _pair_table(report) -> str:
     """Side-by-side property table for the two signed constructions."""
-    iota_p = mp.nstr(report.iota_pess, 10)
-    iota_z = mp.nstr(report.iota_zf, 10)
+    shown = min(10, report.zeta.certified_digits)
+    iota_p = mp.nstr(report.iota_pess, shown)
+    iota_z = mp.nstr(report.iota_zf, shown)
     rows = [
         ("Property", "pess", "zf"),
         ("hausdorff dimension", "1/2", "1/2"),
@@ -391,7 +412,7 @@ def _pair_table(report) -> str:
     ]
     lines = _text_table(rows)
     lines.append("")
-    lines.append(f"sum of information measures: {mp.nstr(report.total, 5)}")
+    lines.append(f"sum of information measures: {mp.nstr(report.total, min(5, shown))}")
     lines.append(f"caveat: {report.caveat}")
     return "\n".join(lines) + "\n"
 
@@ -404,9 +425,9 @@ def cmd_conservation(args, digits: int) -> None:
         _write_text(args, _pair_table(report))
         return
     result = {
-        "iota_pess": _mpf_str(report.iota_pess, digits),
-        "iota_zf": _mpf_str(report.iota_zf, digits),
-        "sum": _mpf_str(report.total, digits),
+        "iota_pess": _zeta_str(report.iota_pess, report.zeta, digits),
+        "iota_zf": _zeta_str(report.iota_zf, report.zeta, digits),
+        "sum": _zeta_str(report.total, report.zeta, digits),
         "sum_is_exact_zero": report.total == 0,
         "caveat": report.caveat,
         "zeta": _zeta_json(report.zeta, digits),
@@ -529,8 +550,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("zeta", cmd_zeta, "Euler-Maclaurin zeta value at a real argument")
     p.add_argument("--s", required=True, help="argument, e.g. 0.5 or 2/3")
-    p.add_argument("--terms", type=int, default=10_000)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument(
+        "--terms", type=int,
+        help="partial-sum cutoff N (default: automatic, the smallest N that certifies every digit)",
+    )
+    p.add_argument(
+        "--k", type=int,
+        help="Bernoulli correction terms K (default: automatic, the maximum of 30)",
+    )
 
     zeros = sub.add_parser("zeros", help="zero-file operations")
     zsub = zeros.add_subparsers(dest="zeros_command", required=True)
@@ -592,10 +619,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _precision(args) -> int:
     """The working precision of the run, as its manifest records it.
 
-    ``--digits``, else ``FRACZETA_PRECISION``, else the default; a run that
-    digitizes zero ordinates is raised to the digitizer's minimum.
+    ``--digits``, else ``FRACZETA_PRECISION``, else the default, refused above
+    ``zeta.MAX_PRECISION_DIGITS``; a run that digitizes zero ordinates is
+    raised to the digitizer's minimum.
     """
     digits = default_precision() if args.digits is None else args.digits
+    check_precision(digits)
     if args.func in (cmd_zeros_digitize, cmd_zeros_stats) or getattr(args, "zeros", None):
         return max(digits, MIN_DIGITIZE_DPS)
     return digits

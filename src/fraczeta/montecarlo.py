@@ -16,7 +16,12 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import InputError, SubcriticalRetentionWarning
+from .errors import CapacityError, InputError, SubcriticalRetentionWarning
+
+# A level costs about 25 us on top of about 160 us per trial: at the cap that
+# is about 30 s of work at depth 30, and about 3 min at depth 1, where the
+# per-trial cost dominates.  The quick tour runs 500 x 12 = 6000 levels.
+MAX_TRIAL_LEVELS = 1_000_000
 
 
 def expected_dimension(p: float) -> float:
@@ -109,7 +114,16 @@ def _single_trial(config: RetentionConfig, index: int) -> TrialOutcome:
 
 
 def run_trials(config: RetentionConfig) -> TrialRun:
-    """Run the configured trials and aggregate survival-conditioned estimates."""
+    """Run the configured trials and aggregate survival-conditioned estimates.
+
+    Raises ``CapacityError`` when ``trials * depth`` exceeds ``MAX_TRIAL_LEVELS``.
+    """
+    levels = config.trials * config.depth
+    if levels > MAX_TRIAL_LEVELS:
+        raise CapacityError(
+            f"{config.trials} trials of depth {config.depth} are {levels} levels; "
+            f"the cap is {MAX_TRIAL_LEVELS}"
+        )
     import numpy as np
 
     outcomes = tuple(_single_trial(config, i) for i in range(config.trials))

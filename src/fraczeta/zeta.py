@@ -9,23 +9,40 @@ The evaluator computes, at a configurable decimal working precision,
 
 with exact-rational Bernoulli numbers (``mpmath.bernfrac``) and an
 observable truncation bound: ``error_bound`` is the magnitude the k = K+1
-correction term would have.  A real Gamma function (``mpmath.gamma`` at
-guard precision) and the s <-> 1-s functional-equation residual complete
-the engine.
+correction term would have.  For real s > 0 the remainder is no larger
+than that first omitted term (H. M. Edwards, *Riemann's Zeta Function*,
+section 6.4), so the bound certifies ``floor(-log10(error_bound))``
+digits.  By default K = ``MAX_CORRECTION_K`` and N is the smallest cutoff
+whose bound lies below the last requested digit and ``_GUARD`` more
+(parameters chosen for a target precision, as in F. Johansson,
+arXiv:1309.2877).  A real Gamma function (``mpmath.gamma`` at guard
+precision) and the s <-> 1-s functional-equation residual complete the
+engine.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import DomainError, InputError, PoleError
+from .errors import CapacityError, DomainError, InputError, PoleError
 
 DEFAULT_PRECISION_DIGITS = 50
 MAX_CORRECTION_K = 30
+
+# Each term n^-s costs tens of microseconds at 50 digits, so a sum of this
+# many takes a few seconds; at K = MAX_CORRECTION_K it certifies about 265
+# digits.
+MAX_ZETA_TERMS = 100_000
+
+# Working precision above this buys no certified zeta digit (the cap on N
+# stops near 265) and makes every mpmath operation slow.
+MAX_PRECISION_DIGITS = 1000
 
 # Above this s, zeta(s) - 1 < 2^(1-s) is below 10^-300000, so the value is 1
 # at any usable precision, while each power n^-s costs more as s grows
@@ -83,9 +100,19 @@ def _frac_to_mpf(x: Fraction) -> mp.mpf:
     return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
 
+def certified_digits(bound, digits: int) -> int:
+    """floor(-log10(bound)): the digits a truncation bound certifies.  A zero
+    bound certifies every one of the ``digits`` asked for."""
+    return int(mp.floor(-mp.log10(bound))) if bound > 0 else digits
+
+
 @dataclass(frozen=True)
 class ZetaValue:
-    """One Euler-Maclaurin evaluation with its truncation provenance."""
+    """One Euler-Maclaurin evaluation with its truncation provenance.
+
+    ``terms_N`` and ``correction_K`` are the pair the sum used, whether
+    given or chosen automatically.
+    """
 
     s: Fraction
     value: mp.mpf
@@ -94,23 +121,65 @@ class ZetaValue:
     error_bound: mp.mpf
     precision_digits: int
 
+    @property
+    def certified_digits(self) -> int:
+        """Digits of ``value`` that ``error_bound`` certifies."""
+        return certified_digits(self.error_bound, self.precision_digits)
+
+
+@functools.lru_cache(maxsize=1024)
+def _bernoulli_coeff(k: int, prec: int) -> mp.mpf:
+    """B_2k / (2k)! at ``prec`` bits."""
+    with mp.workprec(prec):
+        return _frac_to_mpf(Fraction(*mp.bernfrac(2 * k))) / mp.factorial(2 * k)
+
 
 def _correction_term(s_mp: mp.mpf, n_mp: mp.mpf, k: int, rising: mp.mpf) -> mp.mpf:
-    coeff = _frac_to_mpf(Fraction(*mp.bernfrac(2 * k))) / mp.factorial(2 * k)
+    coeff = _bernoulli_coeff(k, mp.mp.prec)
     return coeff * rising * mp.power(n_mp, -s_mp - 2 * k + 1)
+
+
+def _auto_terms(s_mp: mp.mpf, correction_K: int, rising: mp.mpf, precision_digits: int) -> int:
+    """Smallest N >= 2 whose bound at ``correction_K`` lies below 10^-(digits + _GUARD).
+
+    ``rising`` is s(s+1)...(s+2K).  The bound is C * N^-(s+2K+1), so a float
+    logarithm places N within one of the answer and exact bounds step it up.
+    """
+    target = mp.mpf(10) ** -(precision_digits + _GUARD)
+    k = correction_K + 1
+    c = abs(_bernoulli_coeff(k, mp.mp.prec) * rising)
+    log_n = float(mp.log(c / target)) / float(s_mp + 2 * k - 1)
+    if log_n > math.log(MAX_ZETA_TERMS):
+        raise _terms_cap_error(precision_digits, mp.nstr(mp.exp(log_n), 3))
+    n = max(2, math.floor(math.exp(log_n)))
+    while abs(_correction_term(s_mp, mp.mpf(n), k, rising)) >= target:
+        n += 1
+    if n > MAX_ZETA_TERMS:
+        raise _terms_cap_error(precision_digits, n)
+    return n
+
+
+def _terms_cap_error(precision_digits: int, needed) -> CapacityError:
+    return CapacityError(
+        f"zeta at {precision_digits} digits needs N = {needed} terms; "
+        f"the cap is {MAX_ZETA_TERMS}"
+    )
 
 
 def zeta_euler_maclaurin(
     s,
-    terms_N: int = 10_000,
-    correction_K: int = 10,
+    terms_N: int | None = None,
+    correction_K: int | None = None,
     precision_digits: int = DEFAULT_PRECISION_DIGITS,
 ) -> ZetaValue:
     """Evaluate zeta(s) for real s > 0, s != 1.
 
     ``terms_N`` is the partial-sum cutoff, ``correction_K`` the number of
     Bernoulli correction terms, ``precision_digits`` the working decimal
-    precision the result is carried at.
+    precision the result is carried at.  ``correction_K`` defaults to
+    ``MAX_CORRECTION_K`` and ``terms_N`` to the smallest cutoff whose
+    ``error_bound`` lies below 10^-(precision_digits + _GUARD), so the
+    value is certified to every digit it carries.
     """
     s_exact = _to_exact(s)
     if s_exact == 1:
@@ -122,28 +191,38 @@ def zeta_euler_maclaurin(
         )
     if s_exact > MAX_ZETA_S:
         raise DomainError(f"s > {MAX_ZETA_S} is out of range: zeta(s) - 1 < 2^(1-s) there")
-    if terms_N < 2:
-        raise InputError(f"terms_N must be >= 2, got {terms_N}")
+    if correction_K is None:
+        correction_K = MAX_CORRECTION_K
+    if terms_N is not None:
+        if terms_N < 2:
+            raise InputError(f"terms_N must be >= 2, got {terms_N}")
+        if terms_N > MAX_ZETA_TERMS:
+            raise CapacityError(f"terms_N = {terms_N} exceeds the cap of {MAX_ZETA_TERMS}")
     if not (1 <= correction_K <= MAX_CORRECTION_K):
         raise InputError(
             f"correction_K must be in 1..{MAX_CORRECTION_K}, got {correction_K}"
         )
     if precision_digits < 20:
         raise InputError(f"precision_digits must be >= 20, got {precision_digits}")
+    check_precision(precision_digits)
 
     with mp.workdps(precision_digits + _GUARD):
         s_mp = _frac_to_mpf(s_exact)
+        # risings[k - 1] = s(s+1)...(s+2k-2) multiplies correction term k
+        risings = [s_mp]
+        for k in range(1, correction_K + 1):
+            risings.append(risings[-1] * ((s_mp + 2 * k - 1) * (s_mp + 2 * k)))
+        if terms_N is None:
+            terms_N = _auto_terms(s_mp, correction_K, risings[-1], precision_digits)
         n_mp = mp.mpf(terms_N)
         total = mp.mpf(0)
         for n in range(1, terms_N):
             total += mp.power(n, -s_mp)
         total += mp.power(n_mp, 1 - s_mp) / (s_mp - 1)
         total += mp.power(n_mp, -s_mp) / 2
-        rising = s_mp
         for k in range(1, correction_K + 1):
-            total += _correction_term(s_mp, n_mp, k, rising)
-            rising *= (s_mp + 2 * k - 1) * (s_mp + 2 * k)
-        bound = abs(_correction_term(s_mp, n_mp, correction_K + 1, rising))
+            total += _correction_term(s_mp, n_mp, k, risings[k - 1])
+        bound = abs(_correction_term(s_mp, n_mp, correction_K + 1, risings[-1]))
     with mp.workdps(precision_digits):
         value = +total
         bound = +bound
@@ -155,6 +234,14 @@ def zeta_euler_maclaurin(
         error_bound=bound,
         precision_digits=precision_digits,
     )
+
+
+def check_precision(precision_digits: int) -> None:
+    """Raise ``CapacityError`` above ``MAX_PRECISION_DIGITS``."""
+    if precision_digits > MAX_PRECISION_DIGITS:
+        raise CapacityError(
+            f"precision of {precision_digits} digits exceeds the cap of {MAX_PRECISION_DIGITS}"
+        )
 
 
 def gamma_real(x, precision_digits: int = DEFAULT_PRECISION_DIGITS) -> mp.mpf:
@@ -170,14 +257,16 @@ def gamma_real(x, precision_digits: int = DEFAULT_PRECISION_DIGITS) -> mp.mpf:
 
 def functional_equation_residual(
     s,
-    terms_N: int = 10_000,
-    correction_K: int = 10,
+    terms_N: int | None = None,
+    correction_K: int | None = None,
     precision_digits: int = DEFAULT_PRECISION_DIGITS,
 ) -> mp.mpf:
     """|zeta(s) - 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)| on (0, 1).
 
-    Both zeta values come from :func:`zeta_euler_maclaurin`, so the
-    residual measures the engine's internal consistency across s <-> 1-s.
+    Both zeta values come from :func:`zeta_euler_maclaurin` with the given
+    ``terms_N`` and ``correction_K`` (by default chosen for each argument),
+    so the residual measures the engine's internal consistency across
+    s <-> 1-s.
     """
     s_exact = _to_exact(s)
     if not (0 < s_exact < 1):

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,6 +160,26 @@ class TestZeta:
         assert value.startswith("-1.4603545088095868128894991525152980")
         assert payload["result"]["precision_digits"] == 50
 
+    def test_value_prints_only_certified_digits(self, capsys):
+        payload = run_json(capsys, ["zeta", "--s", "2/3", "--terms", "10000", "--k", "10", "--digits", "100"])
+        result = payload["result"]
+        bound = mp.mpf(result["error_bound"])
+        certified = int(mp.floor(-mp.log10(bound)))
+        assert certified == 84
+        assert len(result["value"].lstrip("-").replace(".", "")) <= certified
+        with mp.workdps(120):
+            ref = mp.zeta(mp.mpf(2) / 3)
+            assert abs(mp.mpf(result["value"]) - ref) <= mp.mpf(10) ** (1 - certified) * abs(ref)
+
+    def test_automatic_pair_is_recorded(self, capsys):
+        payload = run_json(capsys, ["zeta", "--s", "0.5", "--digits", "100"])
+        result, params = payload["result"], payload["manifest"]["parameters"]
+        assert (result["terms_N"], result["correction_K"]) == (params["terms"], params["k"]) == (215, 30)
+        assert len(result["value"].lstrip("-").replace(".", "")) <= 100
+        with mp.workdps(120):
+            ref = mp.zeta(mp.mpf(1) / 2)
+            assert abs(mp.mpf(result["value"]) - ref) <= mp.mpf(10) ** -99 * abs(ref)
+
     def test_pole_exit_code(self, capsys):
         assert main(["zeta", "--s", "1"]) == EXIT_DOMAIN
 
@@ -233,6 +254,23 @@ class TestCompareCatalogConservation:
         assert "hausdorff dimension" in out
         assert "information measure" in out
         assert "caveat" in out
+
+    @pytest.mark.parametrize("command", ["catalog", "conservation"])
+    def test_report_values_correct_to_every_printed_digit(self, capsys, command):
+        # at the old fixed N = 2000, K = 10 the 100-digit values were off by ~4e-70
+        result = run_json(capsys, [command, "--digits", "100"])["result"]
+        if command == "catalog":
+            iotas = {row["name"]: row["iota"] for row in result}
+            printed = [iotas["pess"], iotas["zf"]]
+        else:
+            printed = [result["iota_pess"], result["iota_zf"], result["zeta"]["value"]]
+            certified = int(mp.floor(-mp.log10(mp.mpf(result["zeta"]["error_bound"]))))
+            assert certified >= 100
+        with mp.workdps(120):
+            ref = abs(mp.zeta(mp.mpf(1) / 2))
+            for text in printed:
+                assert len(text.lstrip("-").replace(".", "")) <= 100
+                assert abs(abs(mp.mpf(text)) - ref) <= mp.mpf(10) ** -99 * ref
 
     def test_axioms(self, capsys):
         payload = run_json(capsys, ["axioms"])
@@ -387,6 +425,16 @@ EXIT_CASES = [
     (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q-range=0:1:1e-6"], {}, EXIT_CAPACITY),
     (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q-range=0:1e300:1"], {}, EXIT_CAPACITY),
     (["zeta", "--s", "1e400"], {}, EXIT_DOMAIN),
+    # zeta work is bounded in terms and in precision, perturb in trials x depth
+    (["zeta", "--s", "0.5", "--terms", "100000000"], {}, EXIT_CAPACITY),
+    (["zeta", "--s", "0.5", "--digits", "100000000"], {}, EXIT_CAPACITY),
+    (["zeta", "--s", "2", "--terms", "50", "--k", "4", "--digits", "100000000"], {}, EXIT_CAPACITY),
+    (["zeta", "--s", "0.5", "--digits", "300"], {}, EXIT_CAPACITY),
+    (["catalog"], {"FRACZETA_PRECISION": "300"}, EXIT_CAPACITY),
+    (["zeros", "stats", "--file", "ZEROS", "--digits", "100000000"], {}, EXIT_CAPACITY),
+    (["perturb", "--p", "0.75", "--depth", "30", "--trials", "100000000", "--seed", "1"], {}, EXIT_CAPACITY),
+    # N = 2 at K = 30 leaves a bound above 1: no digit is certified, none is printed
+    (["zeta", "--s", "0.5", "--terms", "2"], {}, EXIT_INPUT),
 ]
 
 # an error exit is reached within this many seconds

@@ -4,9 +4,11 @@ import math
 
 import pytest
 
-from fraczeta.errors import InputError, SubcriticalRetentionWarning
+import fraczeta.montecarlo as montecarlo_module
+from fraczeta.errors import CapacityError, InputError, SubcriticalRetentionWarning
 from fraczeta.grids import build_stage, make_pess_spec
 from fraczeta.montecarlo import (
+    MAX_TRIAL_LEVELS,
     RetentionConfig,
     expected_dimension,
     predicted_dimension,
@@ -118,3 +120,12 @@ class TestRunTrials:
             RetentionConfig.uniform(0.5, 5, 0, seed=1)
         with pytest.raises(InputError):
             RetentionConfig.uniform(0.5, 5, 5, seed=-1)
+
+    def test_trial_levels_are_capped(self, monkeypatch):
+        assert 500 * 12 * 100 < MAX_TRIAL_LEVELS  # far above the quick tour's run
+        with pytest.raises(CapacityError, match=str(MAX_TRIAL_LEVELS)):
+            run_trials(RetentionConfig.uniform(0.75, 30, MAX_TRIAL_LEVELS // 30 + 1, seed=1))
+        monkeypatch.setattr(montecarlo_module, "MAX_TRIAL_LEVELS", 60)
+        assert len(run_trials(RetentionConfig.uniform(0.75, 12, 5, seed=1)).outcomes) == 5
+        with pytest.raises(CapacityError, match="61 levels"):
+            run_trials(RetentionConfig.uniform(0.75, 1, 61, seed=1))

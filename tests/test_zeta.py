@@ -8,11 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraczeta.errors import DomainError, InputError, PoleError
+import fraczeta.zeta as zeta_module
+from fraczeta.errors import CapacityError, DomainError, InputError, PoleError
 from fraczeta.zeta import (
+    _GUARD,
+    MAX_CORRECTION_K,
+    MAX_PRECISION_DIGITS,
     MAX_TEXT_EXPONENT,
     MAX_ZETA_S,
+    MAX_ZETA_TERMS,
+    _bernoulli_coeff,
     bernoulli_numbers,
+    certified_digits,
     fraction_from_text,
     functional_equation_residual,
     gamma_real,
@@ -145,6 +152,82 @@ class TestZeta:
             zeta_euler_maclaurin(2, 100, 31, 30)
         with pytest.raises(InputError):
             zeta_euler_maclaurin(2, 100, 5, 10)
+
+
+class TestAutomaticTerms:
+    """The default (N, K) against the fixed-parameter path and mpmath.zeta."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.fractions(min_value=Fraction(1, 1000), max_value=10, max_denominator=1000).filter(
+            lambda s: s != 1
+        ),
+        st.integers(min_value=20, max_value=120),
+    )
+    def test_agrees_with_mpmath_to_its_certified_digits(self, s, digits):
+        zv = zeta_euler_maclaurin(s, precision_digits=digits)
+        assert zv.correction_K == MAX_CORRECTION_K
+        assert zv.certified_digits >= digits
+        # the value carries ``digits`` digits, all of them certified
+        with mp.workdps(digits + 20):
+            ref = mp.zeta(mp.mpf(s.numerator) / s.denominator)
+            assert abs(zv.value - ref) <= mp.mpf(10) ** (1 - digits) * abs(ref)
+        # N is the smallest cutoff whose bound clears the guard digits
+        if zv.terms_N > 2:
+            fewer = zeta_euler_maclaurin(s, zv.terms_N - 1, MAX_CORRECTION_K, digits)
+            assert fewer.error_bound >= mp.mpf(10) ** -(digits + _GUARD)
+
+    @pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(2, 3), Fraction(7, 3), Fraction(37, 10)])
+    @pytest.mark.parametrize("digits", [30, 50])
+    def test_bit_identical_to_ten_thousand_terms(self, s, digits):
+        auto = zeta_euler_maclaurin(s, precision_digits=digits)
+        fixed = zeta_euler_maclaurin(s, 10_000, 10, digits)
+        assert auto.terms_N < 100
+        assert auto.value._mpf_ == fixed.value._mpf_
+
+    def test_coefficient_cache_gives_the_same_bits_cold_or_warm(self):
+        def value(digits):
+            return zeta_euler_maclaurin(Fraction(2, 3), precision_digits=digits).value._mpf_
+
+        for first, second in ((30, 110), (110, 30)):
+            _bernoulli_coeff.cache_clear()
+            cold = value(second)
+            _bernoulli_coeff.cache_clear()
+            value(first)
+            assert value(second) == cold
+
+    def test_explicit_pair_wins(self):
+        zv = zeta_euler_maclaurin(Fraction(1, 2), 200, 6, 40)
+        assert (zv.terms_N, zv.correction_K) == (200, 6)
+        # K alone given: N is chosen for that K
+        zk = zeta_euler_maclaurin(Fraction(1, 2), correction_K=20, precision_digits=30)
+        assert zk.correction_K == 20 and zk.certified_digits >= 30
+
+    def test_certified_digits_rule(self):
+        assert certified_digits(mp.mpf("3.4e-85"), 50) == 84
+        assert certified_digits(mp.mpf(0), 50) == 50
+        zv = zeta_euler_maclaurin(Fraction(1, 2), 100, 2, 50)
+        assert zv.certified_digits == int(mp.floor(-mp.log10(zv.error_bound))) < 50
+
+    def test_terms_cap(self, monkeypatch):
+        with pytest.raises(CapacityError, match=str(MAX_ZETA_TERMS)):
+            zeta_euler_maclaurin(2, MAX_ZETA_TERMS + 1, 4, 30)
+        monkeypatch.setattr(zeta_module, "MAX_ZETA_TERMS", 40)
+        assert zeta_euler_maclaurin(2, 40, 4, 30).terms_N == 40
+        with pytest.raises(CapacityError):
+            zeta_euler_maclaurin(2, 41, 4, 30)
+        # 50 digits need N = 33 at K = 30 and more at K = 4
+        assert zeta_euler_maclaurin(Fraction(1, 2), precision_digits=50).terms_N == 33
+        with pytest.raises(CapacityError, match="50 digits needs N = "):
+            zeta_euler_maclaurin(Fraction(1, 2), correction_K=4, precision_digits=50)
+
+    def test_automatic_terms_past_the_cap_are_refused_at_once(self):
+        with pytest.raises(CapacityError, match="300 digits needs N = 3.8"):
+            zeta_euler_maclaurin(Fraction(1, 2), precision_digits=300)
+
+    def test_precision_cap(self):
+        with pytest.raises(CapacityError, match=str(MAX_PRECISION_DIGITS)):
+            zeta_euler_maclaurin(2, 50, 4, MAX_PRECISION_DIGITS + 1)
 
 
 class TestGamma:
