@@ -230,6 +230,8 @@ def cmd_dimension(args, digits: int) -> None:
         }
     else:
         stage = build_stage(spec, args.depth)
+        # every scale enumerates the whole stage, so it is bounded like construct's
+        stage.check_cap(DEFAULT_ENUMERATION_CAP)
         if args.scales:
             scales = _parse_list(args.scales, "--scales", fraction_from_text)
         else:

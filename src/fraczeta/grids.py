@@ -3,8 +3,11 @@
 A grid spec fixes a base ``b`` and, per subdivision level, the set of
 digit positions that survive.  Stage ``n`` of the construction is the
 union of all closed intervals whose first ``n`` base-``b`` digits are
-retained; endpoints are kept as exact `Fraction` values so nesting,
-measure, and self-similarity checks carry no floating-point drift.
+retained.  Each interval is ``[m / b**n, (m + 1) / b**n]`` for an integer
+numerator ``m``, so a stage is enumerated as integers
+(:meth:`StageSet.numerators`) and exported straight from them; `Fraction`
+endpoints are only the API form (:meth:`StageSet.intervals`), exact so that
+nesting, measure, and self-similarity checks carry no floating-point drift.
 
 Everything here is immutable and pure; stage intervals are enumerated
 lazily and only materialized under an explicit cap.
@@ -15,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -27,6 +30,11 @@ from .errors import (
 
 # Materializing more intervals than this requires an explicit opt-in.
 DEFAULT_ENUMERATION_CAP = 2**20
+
+# StageSet.numerators builds the numerators of the deepest levels once, as a
+# list of at most this many integers, and shifts a copy of it per upper-level
+# prefix: the list bounds memory, its length amortises the per-prefix work.
+_TAIL_SIZE = 4096
 
 Interval = tuple[Fraction, Fraction]
 
@@ -185,15 +193,25 @@ class StageSet:
             self, "total_length", Fraction(count, self.spec.base**self.depth)
         )
 
+    def numerators(self) -> Iterator[int]:
+        """Yield each interval's left endpoint times ``base**depth``, increasing."""
+        b = self.spec.base
+        levels = [self.spec.retained_at(k) for k in range(1, self.depth + 1)]
+        tails, shift, split = [0], 1, self.depth
+        while split and len(tails) * len(levels[split - 1]) <= _TAIL_SIZE:
+            split -= 1
+            tails = [d * shift + t for d in levels[split] for t in tails]
+            shift *= b
+        for prefix in itertools.product(*levels[:split]):
+            head = 0
+            for d in prefix:
+                head = head * b + d
+            yield from map((head * shift).__add__, tails)
+
     def intervals(self) -> Iterator[Interval]:
         """Yield closed intervals in increasing order of left endpoint."""
-        b = self.spec.base
-        den = b**self.depth
-        level_digits = [self.spec.retained_at(k) for k in range(1, self.depth + 1)]
-        for choice in itertools.product(*level_digits):
-            num = 0
-            for d in choice:
-                num = num * b + d
+        den = self.spec.base**self.depth
+        for num in self.numerators():
             yield (Fraction(num, den), Fraction(num + 1, den))
 
     def check_cap(self, cap: int) -> None:
@@ -365,14 +383,16 @@ def self_similarity_check(
     return SelfSimilarityReport(ok=True, spec_label=spec.label, levels_checked=depth)
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _lowest_terms(num: int, den: int) -> tuple[int, int]:
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def stage_rows(stage: StageSet) -> Iterator[tuple[int, int, int, int, int]]:
-    """CSV-ready rows (index, left_num, left_den, right_num, right_den)."""
-    for i, (left, right) in enumerate(stage.intervals()):
-        yield (i, left.numerator, left.denominator, right.numerator, right.denominator)
+    """CSV-ready rows (index, left_num, left_den, right_num, right_den), in lowest terms."""
+    den = stage.spec.base**stage.depth
+    for i, num in enumerate(stage.numerators()):
+        yield (i, *_lowest_terms(num, den), *_lowest_terms(num + 1, den))
 
 
 def write_stage_csv(stage: StageSet, fp, comments: Sequence[str] = ()) -> None:
@@ -380,18 +400,20 @@ def write_stage_csv(stage: StageSet, fp, comments: Sequence[str] = ()) -> None:
     for line in comments:
         fp.write(f"# {line}\n")
     fp.write("index,left_numerator,left_denominator,right_numerator,right_denominator\n")
-    for row in stage_rows(stage):
-        fp.write(",".join(str(v) for v in row) + "\n")
+    fp.writelines("%d,%d,%d,%d,%d\n" % row for row in stage_rows(stage))
 
 
 def stage_to_json(stage: StageSet, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
     """JSON-ready dict with exact 'p/q' endpoint strings."""
-    intervals = stage.materialize(cap)
+    stage.check_cap(cap)
+    total = stage.total_length
     return {
         "label": stage.spec.label,
         "base": stage.spec.base,
         "depth": stage.depth,
         "interval_count": stage.interval_count,
-        "total_length": _frac_str(stage.total_length),
-        "intervals": [[_frac_str(a), _frac_str(b)] for a, b in intervals],
+        "total_length": "%d/%d" % (total.numerator, total.denominator),
+        "intervals": [
+            ["%d/%d" % (ln, ld), "%d/%d" % (rn, rd)] for _, ln, ld, rn, rd in stage_rows(stage)
+        ],
     }

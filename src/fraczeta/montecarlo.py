@@ -23,6 +23,9 @@ from .errors import CapacityError, InputError, SubcriticalRetentionWarning
 # per-trial cost dominates.  The quick tour runs 500 x 12 = 6000 levels.
 MAX_TRIAL_LEVELS = 1_000_000
 
+# numpy draws binomials only for counts that fit in an int64.
+MAX_BINOMIAL_COUNT = 2**63 - 1
+
 
 def expected_dimension(p: float) -> float:
     """Predicted dimension log(2p)/log 4 for uniform retention probability p.
@@ -100,7 +103,12 @@ def _single_trial(config: RetentionConfig, index: int) -> TrialOutcome:
     p1, p3 = config.probs
     counts = [1]
     n = 1
-    for _ in range(config.depth):
+    for level in range(config.depth):
+        if n > MAX_BINOMIAL_COUNT:
+            raise CapacityError(
+                f"trial {index} has {n} survivors at level {level}, above numpy's "
+                f"binomial limit {MAX_BINOMIAL_COUNT}; lower the depth or the probabilities"
+            )
         n = int(rng.binomial(n, p1)) + int(rng.binomial(n, p3))
         counts.append(n)
     extinct = counts[-1] == 0
@@ -116,7 +124,8 @@ def _single_trial(config: RetentionConfig, index: int) -> TrialOutcome:
 def run_trials(config: RetentionConfig) -> TrialRun:
     """Run the configured trials and aggregate survival-conditioned estimates.
 
-    Raises ``CapacityError`` when ``trials * depth`` exceeds ``MAX_TRIAL_LEVELS``.
+    Raises ``CapacityError`` when ``trials * depth`` exceeds ``MAX_TRIAL_LEVELS``,
+    or when a trial's survivor count outgrows ``MAX_BINOMIAL_COUNT``.
     """
     levels = config.trials * config.depth
     if levels > MAX_TRIAL_LEVELS:

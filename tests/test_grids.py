@@ -1,8 +1,15 @@
 """Exact construction: retention rules, stages, addresses, IFS steps."""
 
+import io
+import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraczeta.grids as grids_module
 
 from fraczeta.errors import (
     AddressError,
@@ -25,6 +32,7 @@ from fraczeta.grids import (
     self_similarity_check,
     stage_rows,
     stage_to_json,
+    write_stage_csv,
 )
 
 F = Fraction
@@ -284,3 +292,117 @@ class TestExports:
         payload = stage_to_json(build_stage(make_pess_spec(), 1))
         assert payload["intervals"] == [["1/4", "1/2"], ["3/4", "1/1"]]
         assert payload["total_length"] == "1/2"
+
+
+# The Fraction-based enumeration and exports that the integer path replaced,
+# kept as the reference it must reproduce exactly.
+def reference_intervals(stage):
+    b = stage.spec.base
+    den = b**stage.depth
+    levels = [stage.spec.retained_at(k) for k in range(1, stage.depth + 1)]
+    for choice in itertools.product(*levels):
+        num = 0
+        for d in choice:
+            num = num * b + d
+        yield (Fraction(num, den), Fraction(num + 1, den))
+
+
+def reference_rows(stage):
+    for i, (left, right) in enumerate(reference_intervals(stage)):
+        yield (i, left.numerator, left.denominator, right.numerator, right.denominator)
+
+
+def reference_csv(stage, comments):
+    fp = io.StringIO()
+    for line in comments:
+        fp.write(f"# {line}\n")
+    fp.write("index,left_numerator,left_denominator,right_numerator,right_denominator\n")
+    for row in reference_rows(stage):
+        fp.write(",".join(str(v) for v in row) + "\n")
+    return fp.getvalue()
+
+
+def reference_json(stage):
+    def frac_str(x):
+        return f"{x.numerator}/{x.denominator}"
+
+    return {
+        "label": stage.spec.label,
+        "base": stage.spec.base,
+        "depth": stage.depth,
+        "interval_count": stage.interval_count,
+        "total_length": frac_str(stage.total_length),
+        "intervals": [[frac_str(a), frac_str(b)] for a, b in reference_intervals(stage)],
+    }
+
+
+def first_difference(got, expected):
+    """(index, got item, expected item) at the first mismatch, else None.
+
+    A short message: pytest's own diff of two long lists is slow enough to
+    stall hypothesis's shrinking.
+    """
+    for i, pair in enumerate(itertools.zip_longest(got, expected)):
+        if pair[0] != pair[1]:
+            return (i, *pair)
+    return None
+
+
+# stages hold at most this many intervals, so each example stays fast
+MAX_EXAMPLE_INTERVALS = 4096
+
+
+@st.composite
+def stages(draw):
+    """A constant or per-level spec (base 2-12, strict-subset retained sets) and a depth 0-8."""
+    base = draw(st.integers(2, 12))
+    depth = draw(st.integers(0, 8))
+    size = base - 1
+    while depth and size**depth > MAX_EXAMPLE_INTERVALS:
+        size -= 1
+    retained = st.lists(st.integers(0, base - 1), min_size=1, max_size=size, unique=True)
+    if draw(st.booleans()):
+        spec = GridSpec(base=base, label="constant", constant=tuple(draw(retained)))
+    else:
+        levels = draw(st.lists(retained, min_size=max(depth, 1), max_size=depth + 2))
+        spec = GridSpec(base=base, label="per-level", per_level=tuple(map(tuple, levels)))
+    return build_stage(spec, depth)
+
+
+# tail lists from one integer up to the default, so every split of the levels occurs
+tail_sizes = st.one_of(st.integers(1, 64), st.just(grids_module._TAIL_SIZE))
+
+
+class TestIntegerEnumeration:
+    @settings(max_examples=300, deadline=None)
+    @given(stages(), tail_sizes)
+    def test_numerators_and_intervals_match_reference(self, stage, tail_size):
+        with mock.patch.object(grids_module, "_TAIL_SIZE", tail_size):
+            nums = list(stage.numerators())
+            got = list(stage.intervals())
+        assert len(nums) == stage.interval_count
+        assert all(a < b for a, b in itertools.pairwise(nums))
+        assert first_difference(got, list(reference_intervals(stage))) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(stages(), tail_sizes)
+    def test_exports_match_reference(self, stage, tail_size):
+        comments = ["manifest line"]
+        with mock.patch.object(grids_module, "_TAIL_SIZE", tail_size):
+            fp = io.StringIO()
+            write_stage_csv(stage, fp, comments=comments)
+            payload = stage_to_json(stage)
+        assert first_difference(fp.getvalue().splitlines(),
+                                reference_csv(stage, comments).splitlines()) is None
+        expected = reference_json(stage)
+        assert first_difference(payload.pop("intervals"), expected.pop("intervals")) is None
+        assert payload == expected
+
+    def test_numerators_stream(self):
+        # 2^60 intervals: only a generator that streams can return the first one
+        first = next(iter(build_stage(make_pess_spec(), 60).numerators()))
+        assert first == (4**60 - 1) // 3  # digit 1 at every level
+
+    def test_json_checks_cap_before_enumerating(self):
+        with pytest.raises(CapacityError):
+            stage_to_json(build_stage(make_pess_spec(), 60))

@@ -8,6 +8,7 @@ import fraczeta.montecarlo as montecarlo_module
 from fraczeta.errors import CapacityError, InputError, SubcriticalRetentionWarning
 from fraczeta.grids import build_stage, make_pess_spec
 from fraczeta.montecarlo import (
+    MAX_BINOMIAL_COUNT,
     MAX_TRIAL_LEVELS,
     RetentionConfig,
     expected_dimension,
@@ -129,3 +130,10 @@ class TestRunTrials:
         assert len(run_trials(RetentionConfig.uniform(0.75, 12, 5, seed=1)).outcomes) == 5
         with pytest.raises(CapacityError, match="61 levels"):
             run_trials(RetentionConfig.uniform(0.75, 1, 61, seed=1))
+
+    def test_survivor_counts_are_capped_at_the_binomial_limit(self):
+        # full retention doubles every level: 2^63 survivors after level 63
+        run = run_trials(RetentionConfig.uniform(1.0, 63, 1, seed=1))
+        assert run.outcomes[0].survivor_counts[-1] == 2**63 > MAX_BINOMIAL_COUNT
+        with pytest.raises(CapacityError, match=f"{2**63} survivors at level 63"):
+            run_trials(RetentionConfig.uniform(1.0, 64, 1, seed=1))
