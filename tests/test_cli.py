@@ -433,13 +433,13 @@ EXIT_CASES = [
     (["catalog"], {"FRACZETA_PRECISION": "300"}, EXIT_CAPACITY),
     (["zeros", "stats", "--file", "ZEROS", "--digits", "100000000"], {}, EXIT_CAPACITY),
     (["perturb", "--p", "0.75", "--depth", "30", "--trials", "100000000", "--seed", "1"], {}, EXIT_CAPACITY),
+    # N = 2 at K = 30 leaves a bound above 1: no digit is certified, none is printed
+    (["zeta", "--s", "0.5", "--terms", "2"], {}, EXIT_INPUT),
     # survivor counts that outgrow numpy's int64 binomial draw
     (["perturb", "--p", "1", "--depth", "70", "--trials", "1", "--seed", "1"], {}, EXIT_CAPACITY),
     (["perturb", "--p", "0.75", "--depth", "1000000", "--trials", "1", "--seed", "1"], {}, EXIT_CAPACITY),
     # 2^30 intervals per scale: the stage is capped before any box is counted
     (["dimension", "pess", "--method", "boxcount", "--depth", "30"], {}, EXIT_CAPACITY),
-    # N = 2 at K = 30 leaves a bound above 1: no digit is certified, none is printed
-    (["zeta", "--s", "0.5", "--terms", "2"], {}, EXIT_INPUT),
 ]
 
 # an error exit is reached within this many seconds
