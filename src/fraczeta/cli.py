@@ -230,12 +230,18 @@ def cmd_dimension(args, digits: int) -> None:
         }
     else:
         stage = build_stage(spec, args.depth)
-        # every scale enumerates the whole stage, so it is bounded like construct's
-        stage.check_cap(DEFAULT_ENUMERATION_CAP)
         if args.scales:
             scales = _parse_list(args.scales, "--scales", fraction_from_text)
         else:
             scales = [Fraction(1, spec.base**k) for k in range(1, args.depth + 1)]
+        # each distinct scale enumerates the whole stage once
+        distinct = len(set(scales))
+        work = stage.interval_count * distinct
+        if work > DEFAULT_ENUMERATION_CAP:
+            raise CapacityError(
+                f"box counting {stage.interval_count} intervals at {distinct} scales "
+                f"enumerates {work} intervals, above the enumeration cap {DEFAULT_ENUMERATION_CAP}"
+            )
         est = box_dimension_fit(stage, scales)
         if args.points_csv:
             with open(args.points_csv, "w") as fp:

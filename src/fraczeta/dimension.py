@@ -98,18 +98,23 @@ def box_count(stage: StageSet, epsilon) -> int:
 
     A box counts when its overlap with some stage interval has positive
     length; touching at a single endpoint is not enough, so exactly
-    aligned scales reproduce the ancestor-cell counts.  All index
-    arithmetic is exact rational floor/ceil, and boxes shared by
+    aligned scales reproduce the ancestor-cell counts.  Box indices are
+    exact: with eps = p/q, integer floor division of each endpoint's
+    numerator times q by its denominator times p.  Boxes shared by
     neighbouring intervals are counted once.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
         raise InputError(f"epsilon must be positive, got {eps}")
+    p, q = eps.numerator, eps.denominator
     count = 0
     last = -1
+    # The loop reads intervals(), not numerators(): perfbench measures
+    # dimension.boxes_per_interval from the intervals that box_count pulls
+    # through StageSet.intervals, and reads null when it pulls none.
     for left, right in stage.intervals():
-        j_lo = (left / eps).__floor__()
-        j_hi = -((-right / eps).__floor__()) - 1  # ceil(right/eps) - 1
+        j_lo = left.numerator * q // (left.denominator * p)
+        j_hi = -(-right.numerator * q // (right.denominator * p)) - 1  # ceil(right/eps) - 1
         j_lo = max(j_lo, last + 1)
         if j_hi >= j_lo:
             count += j_hi - j_lo + 1

@@ -352,13 +352,33 @@ class SelfSimilarityReport:
         return self.ok
 
 
+def _cell_shifts(ifs: GeneralIfsSpec, base: int, n: int) -> list[int] | None:
+    """Each map's action on stage-``n`` numerators, as a shift into stage ``n + 1``.
+
+    The map x -> r*x + o sends the cell [k, k+1] / b**n onto
+    [r*b*k + o*b**(n+1), r*b*(k+1) + o*b**(n+1)] / b**(n+1).  That image is a
+    stage-(n+1) grid cell for every k only when r*b == 1 and the shift
+    o*b**(n+1) is an integer; otherwise None.
+    """
+    shifts = []
+    for m in ifs.maps:
+        shift = m.offset * base ** (n + 1)
+        if m.ratio * base != 1 or shift.denominator != 1:
+            return None
+        shifts.append(shift.numerator)
+    return shifts
+
+
 def self_similarity_check(
     spec: GridSpec, depth: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> SelfSimilarityReport:
     """Verify stage n+1 equals the union of map images of stage n for n < depth.
 
-    Only constant-rule specs are self-similar under a fixed map family;
-    level-varying specs are rejected.
+    Stages are compared as sorted lists of integer left numerators: each
+    map of ``ifs_of_grid(spec)`` acts on the numerators over ``b**n`` as a
+    shift into numerators over ``b**(n+1)``.  Every stage is checked
+    against ``cap`` before it is enumerated.  Only constant-rule specs are
+    self-similar under a fixed map family; level-varying specs are rejected.
     """
     if not spec.is_constant:
         raise UnsupportedStructureError(
@@ -368,10 +388,14 @@ def self_similarity_check(
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
     ifs = ifs_of_grid(spec)
-    current = build_stage(spec, 0).materialize(cap)
+    build_stage(spec, 0).check_cap(cap)
+    current = [0]
     for n in range(depth):
-        expected = sorted(build_stage(spec, n + 1).materialize(cap))
-        images = sorted(apply_ifs_step(ifs, current).intervals)
+        stage = build_stage(spec, n + 1)
+        stage.check_cap(cap)
+        expected = list(stage.numerators())
+        shifts = _cell_shifts(ifs, spec.base, n)
+        images = None if shifts is None else sorted(s + k for s in shifts for k in current)
         if images != expected:
             return SelfSimilarityReport(
                 ok=False,

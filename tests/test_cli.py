@@ -440,6 +440,10 @@ EXIT_CASES = [
     (["perturb", "--p", "0.75", "--depth", "1000000", "--trials", "1", "--seed", "1"], {}, EXIT_CAPACITY),
     # 2^30 intervals per scale: the stage is capped before any box is counted
     (["dimension", "pess", "--method", "boxcount", "--depth", "30"], {}, EXIT_CAPACITY),
+    # intervals x distinct scales is checked against the 2^20 cap before any box is
+    # counted: 2^20 x 20 and 2^17 x 17 exceed it (depth 16, 2^16 x 16, does not)
+    (["dimension", "pess", "--method", "boxcount", "--depth", "20"], {}, EXIT_CAPACITY),
+    (["dimension", "pess", "--method", "boxcount", "--depth", "17"], {}, EXIT_CAPACITY),
 ]
 
 # an error exit is reached within this many seconds

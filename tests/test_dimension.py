@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraczeta.dimension import (
     box_count,
@@ -15,6 +17,7 @@ from fraczeta.dimension import (
 from fraczeta.errors import InputError
 from fraczeta.grids import (
     GeneralIfsSpec,
+    GridSpec,
     IfsMap,
     build_stage,
     ifs_of_grid,
@@ -38,6 +41,43 @@ def brute_force_box_count(stage, eps: Fraction) -> int:
             boxes += 1
         j += 1
     return boxes
+
+
+# brute_force_box_count tests every box against every interval, so a drawn
+# case keeps interval count times the finest scale's box count below this
+MAX_BRUTE_FORCE_PAIRS = 20_000
+
+
+@st.composite
+def box_cases(draw):
+    """A stage and a rational eps for comparing box_count with the brute force.
+
+    The spec is constant or per-level, base 2-12, at depth 0-7 (lower where
+    base**(depth+1) boxes would exceed the brute-force budget).  eps is aligned
+    (b**-k for k from 0 to depth+1), non-aligned in [b**-depth, 1], above 1,
+    or non-aligned below b**-depth, down to b**-(depth+1).
+    """
+    base = draw(st.integers(2, 12))
+    top = max(d for d in range(8) if base ** (d + 1) <= MAX_BRUTE_FORCE_PAIRS)
+    depth = draw(st.integers(0, top))
+    size = base - 1
+    while depth and size**depth * base ** (depth + 1) > MAX_BRUTE_FORCE_PAIRS:
+        size -= 1
+    retained = st.lists(st.integers(0, base - 1), min_size=1, max_size=size, unique=True)
+    if draw(st.booleans()):
+        spec = GridSpec(base=base, label="constant", constant=tuple(draw(retained)))
+    else:
+        levels = draw(st.lists(retained, min_size=max(depth, 1), max_size=depth + 2))
+        spec = GridSpec(base=base, label="per-level", per_level=tuple(map(tuple, levels)))
+    cell = F(1, base**depth)
+    fine = base ** (depth + 2)
+    eps = draw(st.one_of(
+        st.integers(0, depth + 1).map(lambda k: F(1, base**k)),
+        st.fractions(min_value=cell, max_value=1, max_denominator=fine),
+        st.builds(lambda n, d: 1 + F(n, d), st.integers(1, 240), st.integers(1, 60)),
+        st.fractions(min_value=cell / base, max_value=cell, max_denominator=fine),
+    ))
+    return build_stage(spec, depth), eps
 
 
 class TestSimilarityDimension:
@@ -120,6 +160,12 @@ class TestBoxCount:
     )
     def test_against_brute_force_oracle(self, name, depth, eps):
         stage = build_stage(make_named_spec(name), depth)
+        assert box_count(stage, eps) == brute_force_box_count(stage, eps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(box_cases())
+    def test_matches_brute_force_on_random_stages_and_scales(self, case):
+        stage, eps = case
         assert box_count(stage, eps) == brute_force_box_count(stage, eps)
 
     def test_epsilon_validation(self):

@@ -18,10 +18,12 @@ from fraczeta.errors import (
     UnsupportedStructureError,
 )
 from fraczeta.grids import (
+    DEFAULT_ENUMERATION_CAP,
     Address,
     GeneralIfsSpec,
     GridSpec,
     IfsMap,
+    SelfSimilarityReport,
     address_to_point,
     apply_ifs_step,
     build_stage,
@@ -279,6 +281,96 @@ class TestSelfSimilarity:
         spec = make_zf_spec([0, 1, 0, 1])
         with pytest.raises(UnsupportedStructureError):
             self_similarity_check(spec, 3)
+
+
+# The Fraction-interval check that the integer one replaced, kept as its
+# reference.  It looks ifs_of_grid up in the module, so a patched map family
+# reaches both checks.
+def reference_self_similarity_check(spec, depth, cap=DEFAULT_ENUMERATION_CAP):
+    if not spec.is_constant:
+        raise UnsupportedStructureError(
+            f"spec '{spec.label}' changes its retained set by level; "
+            "a single map family cannot reproduce it"
+        )
+    if depth < 1:
+        raise InputError(f"depth must be >= 1, got {depth}")
+    ifs = grids_module.ifs_of_grid(spec)
+    current = build_stage(spec, 0).materialize(cap)
+    for n in range(depth):
+        expected = sorted(build_stage(spec, n + 1).materialize(cap))
+        images = sorted(apply_ifs_step(ifs, current).intervals)
+        if images != expected:
+            return SelfSimilarityReport(
+                ok=False,
+                spec_label=spec.label,
+                levels_checked=n,
+                first_mismatch_level=n + 1,
+            )
+        current = expected
+    return SelfSimilarityReport(ok=True, spec_label=spec.label, levels_checked=depth)
+
+
+def check_raised(check, spec, depth, cap):
+    """The message of the CapacityError that the check raises."""
+    with pytest.raises(CapacityError) as info:
+        check(spec, depth, cap)
+    return str(info.value)
+
+
+@st.composite
+def self_similar_cases(draw):
+    """A constant spec (base 2-12), a depth 1-6 and an order of its map family.
+
+    Retained sets shrink so the deepest stage keeps at most
+    MAX_EXAMPLE_INTERVALS intervals.
+    """
+    base = draw(st.integers(2, 12))
+    depth = draw(st.integers(1, 6))
+    size = base - 1
+    while size**depth > MAX_EXAMPLE_INTERVALS:
+        size -= 1
+    retained = draw(st.lists(st.integers(0, base - 1), min_size=1, max_size=size, unique=True))
+    spec = GridSpec(base=base, label="constant", constant=tuple(retained))
+    return spec, depth, draw(st.permutations(range(len(retained))))
+
+
+def patched_maps(spec, order, miss=None):
+    """Patch ifs_of_grid to list the spec's maps in ``order``, with map ``miss``'s offset moved by 1/b."""
+    maps = [
+        IfsMap(m.ratio, m.offset + (F(1, spec.base) if i == miss else 0), m.weight)
+        for i, m in enumerate(ifs_of_grid(spec).maps)
+    ]
+    ifs = GeneralIfsSpec(maps=tuple(maps[i] for i in order), label=spec.label)
+    return mock.patch.object(grids_module, "ifs_of_grid", lambda _spec: ifs)
+
+
+class TestSelfSimilarityMatchesReference:
+    @settings(max_examples=100, deadline=None)
+    @given(self_similar_cases())
+    def test_reports_match_in_any_map_order(self, case):
+        spec, depth, order = case
+        with patched_maps(spec, order):
+            got = self_similarity_check(spec, depth)
+            assert got == reference_self_similarity_check(spec, depth)
+        assert got.ok and got.levels_checked == depth
+
+    @settings(max_examples=150, deadline=None)
+    @given(self_similar_cases(), st.data())
+    def test_a_missed_map_fails_at_the_same_level(self, case, data):
+        spec, depth, order = case
+        miss = data.draw(st.integers(0, len(order) - 1))
+        with patched_maps(spec, order, miss):
+            got = self_similarity_check(spec, depth)
+            assert got == reference_self_similarity_check(spec, depth)
+        assert not got.ok and got.first_mismatch_level is not None
+
+    @settings(max_examples=150, deadline=None)
+    @given(self_similar_cases(), st.data())
+    def test_cap_raises_at_the_same_stage(self, case, data):
+        spec, depth, _ = case
+        cap = data.draw(st.integers(0, build_stage(spec, depth).interval_count - 1))
+        got = check_raised(self_similarity_check, spec, depth, cap)
+        assert got == check_raised(reference_self_similarity_check, spec, depth, cap)
 
 
 class TestExports:
