@@ -18,8 +18,9 @@ from typing import Mapping
 import mpmath as mp
 
 from .errors import InputError
+from .limits import DEFAULT_PRECISION_DIGITS
 from .zeros import DigitSequence, DigitStats, digit_stats
-from .zeta import DEFAULT_PRECISION_DIGITS, ZetaValue, zeta_euler_maclaurin
+from .zeta import ZetaValue, zeta_euler_maclaurin
 
 COMPARE_TOL = 1e-12
 

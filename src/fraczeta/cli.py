@@ -38,15 +38,8 @@ from .dimension import (
     similarity_dimension,
     write_fit_points_csv,
 )
-from .errors import (
-    CapacityError,
-    DomainError,
-    FraczetaError,
-    InputError,
-    ParseError,
-)
+from .errors import FraczetaError, InputError
 from .grids import (
-    DEFAULT_ENUMERATION_CAP,
     GeneralIfsSpec,
     GridSpec,
     IfsMap,
@@ -56,6 +49,14 @@ from .grids import (
     make_zf_spec,
     stage_to_json,
     write_stage_csv,
+)
+from .limits import (
+    DEFAULT_ENUMERATION_CAP,
+    DEFAULT_PRECISION_DIGITS,
+    MAX_PRECISION_DIGITS,
+    MAX_Q_POINTS,
+    check_work,
+    fraction_from_text,
 )
 from .montecarlo import RetentionConfig, run_trials
 from .zeros import (
@@ -67,32 +68,7 @@ from .zeros import (
     reorder,
     reorder_external_weights,
 )
-from .zeta import (
-    DEFAULT_PRECISION_DIGITS,
-    check_precision,
-    fraction_from_text,
-    zeta_euler_maclaurin,
-)
-
-EXIT_OK = 0
-EXIT_UNEXPECTED = FraczetaError.exit_code
-EXIT_INPUT = InputError.exit_code
-EXIT_CAPACITY = CapacityError.exit_code
-EXIT_DOMAIN = DomainError.exit_code
-EXIT_PARSE = ParseError.exit_code
-
-# each q point costs about 0.24 ms, so a full grid takes about 2.4 s
-MAX_Q_POINTS = 10_000
-
-
-def default_precision() -> int:
-    raw = os.environ.get("FRACZETA_PRECISION")
-    if raw is None:
-        return DEFAULT_PRECISION_DIGITS
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"FRACZETA_PRECISION must be an integer, got {raw!r}") from exc
+from .zeta import zeta_euler_maclaurin
 
 
 def _manifest(args, digits: int, **extra) -> dict:
@@ -125,16 +101,22 @@ def _manifest_comment(manifest: dict) -> str:
 
 def _emit_json(args, manifest: dict, result) -> None:
     payload = {"manifest": manifest, "result": result}
-    _write_text(args, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    _write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
 
 
-def _write_text(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fp:
-            fp.write(text)
-    else:
+def _write_text(text: str, path: str | None, flag: str = "--out") -> None:
+    """Write ``text`` to ``path``, given by ``flag``, or to stdout when no path is given.
+
+    A path that cannot be written is an input error naming the flag.
+    """
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fp:
+            fp.write(text)
+    except OSError as exc:
+        raise InputError(f"{flag}: cannot write {path}: {exc}") from exc
 
 
 def _mpf_str(value, digits: int) -> str:
@@ -204,6 +186,8 @@ def _spec_from_args(args, digits: int) -> GridSpec:
 
 
 def cmd_construct(args, digits: int) -> None:
+    if args.cap < 0:
+        raise InputError(f"--cap must be >= 0, got {args.cap}")
     spec = _spec_from_args(args, digits)
     stage = build_stage(spec, args.depth)
     # write_stage_csv streams without a cap, so the CSV path relies on this
@@ -214,7 +198,7 @@ def cmd_construct(args, digits: int) -> None:
     else:
         buf = io.StringIO()
         write_stage_csv(stage, buf, comments=[_manifest_comment(manifest)])
-        _write_text(args, buf.getvalue())
+        _write_text(buf.getvalue(), args.out)
 
 
 def cmd_dimension(args, digits: int) -> None:
@@ -237,15 +221,17 @@ def cmd_dimension(args, digits: int) -> None:
         # each distinct scale enumerates the whole stage once
         distinct = len(set(scales))
         work = stage.interval_count * distinct
-        if work > DEFAULT_ENUMERATION_CAP:
-            raise CapacityError(
-                f"box counting {stage.interval_count} intervals at {distinct} scales "
-                f"enumerates {work} intervals, above the enumeration cap {DEFAULT_ENUMERATION_CAP}"
-            )
+        check_work(
+            work,
+            DEFAULT_ENUMERATION_CAP,
+            f"box counting {stage.interval_count} intervals at {distinct} scales "
+            f"enumerates {work} intervals",
+        )
         est = box_dimension_fit(stage, scales)
         if args.points_csv:
-            with open(args.points_csv, "w") as fp:
-                write_fit_points_csv(est, fp, comments=[_manifest_comment(manifest)])
+            buf = io.StringIO()
+            write_fit_points_csv(est, buf, comments=[_manifest_comment(manifest)])
+            _write_text(buf.getvalue(), args.points_csv, "--points-csv")
         result = {
             "method": est.method,
             "label": spec.label,
@@ -317,7 +303,7 @@ def cmd_zeros_digitize(args, digits: int) -> None:
                 f"{e.n},{e.gamma},{_mpf_str(e.t, seq.precision_digits)},{e.a},"
                 f"{str(e.boundary_flag).lower()}"
             )
-        _write_text(args, "\n".join(lines) + "\n")
+        _write_text("\n".join(lines) + "\n", args.out)
 
 
 def cmd_zeros_stats(args, digits: int) -> None:
@@ -337,7 +323,7 @@ def cmd_zeros_reorder(args, digits: int) -> None:
     table = _load_table(args)
     manifest = _manifest(args, digits, ordering=table.ordering)
     lines = [f"# {_manifest_comment(manifest)}", *table.gamma_strings]
-    _write_text(args, "\n".join(lines) + "\n")
+    _write_text("\n".join(lines) + "\n", args.out)
 
 
 def cmd_compare(args, digits: int) -> None:
@@ -401,7 +387,7 @@ def cmd_catalog(args, digits: int) -> None:
                 f"({r['alpha']}, {r['delta']:.6g}, {iota_short})",
             ]
         )
-    _write_text(args, "\n".join(_text_table(table_rows)) + "\n")
+    _write_text("\n".join(_text_table(table_rows)) + "\n", args.out)
 
 
 def _pair_table(report) -> str:
@@ -430,7 +416,7 @@ def cmd_conservation(args, digits: int) -> None:
     report = conservation_report(precision_digits=digits, zero_digits=seq)
     manifest = _manifest(args, digits)
     if args.format == "table":
-        _write_text(args, _pair_table(report))
+        _write_text(_pair_table(report), args.out)
         return
     result = {
         "iota_pess": _zeta_str(report.iota_pess, report.zeta, digits),
@@ -482,8 +468,7 @@ def cmd_perturb(args, digits: int) -> None:
             lines.append(
                 f"{i},{o.survivor_counts[-1]},{str(o.extinct).lower()},{dim}"
             )
-        with open(args.per_trial, "w") as fp:
-            fp.write("\n".join(lines) + "\n")
+        _write_text("\n".join(lines) + "\n", args.per_trial, "--per-trial")
     _emit_json(args, manifest, result)
 
 
@@ -504,8 +489,7 @@ def _parse_q_grid(args) -> list[float]:
     if max(abs(start), abs(stop)) > sys.float_info.max:
         raise InputError("--q-range bounds must lie within the double range")
     count = (stop - start) // step + 1
-    if count > MAX_Q_POINTS:
-        raise CapacityError(f"--q-range has {count} points; the cap is {MAX_Q_POINTS}")
+    check_work(count, MAX_Q_POINTS, f"--q-range has {count} points")
     return [float(start + i * step) for i in range(count)]
 
 
@@ -628,11 +612,17 @@ def _precision(args) -> int:
     """The working precision of the run, as its manifest records it.
 
     ``--digits``, else ``FRACZETA_PRECISION``, else the default, refused above
-    ``zeta.MAX_PRECISION_DIGITS``; a run that digitizes zero ordinates is
+    ``limits.MAX_PRECISION_DIGITS``; a run that digitizes zero ordinates is
     raised to the digitizer's minimum.
     """
-    digits = default_precision() if args.digits is None else args.digits
-    check_precision(digits)
+    digits = args.digits
+    if digits is None:
+        raw = os.environ.get("FRACZETA_PRECISION", str(DEFAULT_PRECISION_DIGITS))
+        try:
+            digits = int(raw)
+        except ValueError as exc:
+            raise InputError(f"FRACZETA_PRECISION must be an integer, got {raw!r}") from exc
+    check_work(digits, MAX_PRECISION_DIGITS, f"precision of {digits} digits")
     if args.func in (cmd_zeros_digitize, cmd_zeros_stats) or getattr(args, "zeros", None):
         return max(digits, MIN_DIGITIZE_DPS)
     return digits
@@ -646,7 +636,7 @@ def main(argv=None) -> int:
     except FraczetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    return EXIT_OK
+    return 0
 
 
 def entry() -> None:

@@ -5,7 +5,8 @@ the empirical route counts grid boxes against exact stage endpoints and
 regresses log N(eps) on log(1/eps).  For weighted self-similar measures
 the moment exponent tau(q) solves sum(p_i^q r_i^tau) = 1 and the local
 dimension/spectrum pair comes from the transform
-alpha = -dtau/dq, f = q*alpha + tau.
+alpha = -dtau/dq, f = q*alpha + tau (Halsey et al., Phys. Rev. A 33,
+1141, 1986).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import DomainError, InputError
 from .grids import GeneralIfsSpec, StageSet
 
 BISECTION_TOL = 1e-12
-DIFF_STEP = 1e-5
 
 _MAX_BISECT = 200
 
@@ -168,7 +168,13 @@ def write_fit_points_csv(estimate: DimensionEstimate, fp, comments: Sequence[str
         )
 
 
-def _tau_solver(ifs: GeneralIfsSpec):
+def multifractal_spectrum(ifs: GeneralIfsSpec, q_grid: Sequence[float]) -> list[MultifractalPoint]:
+    """Moment exponents and the local-dimension spectrum on a q grid.
+
+    tau(q) is bisected to machine precision.  Differentiating
+    sum(p_i^q r_i^tau) = 1 in q gives alpha(q) = -dtau/dq in closed form,
+    sum(w_i ln p_i) / sum(w_i ln r_i) with weights w_i = p_i^q r_i^tau.
+    """
     weights = ifs.weights
     if weights is None:
         raise InputError("multifractal spectrum needs per-map weights")
@@ -176,35 +182,22 @@ def _tau_solver(ifs: GeneralIfsSpec):
     ratios = [float(r) for r in ifs.ratios]
     if any(not (0 < r < 1) for r in ratios):
         raise InputError(f"ratios must lie in (0, 1), got {ratios}")
-
-    def tau(q: float) -> float:
-        def excess(t: float) -> float:
-            return math.fsum(p**q * r**t for p, r in zip(probs, ratios)) - 1.0
-
-        return _bisect_decreasing(excess, -1.0, 1.0)
-
-    return tau
-
-
-def multifractal_spectrum(ifs: GeneralIfsSpec, q_grid: Sequence[float]) -> list[MultifractalPoint]:
-    """Moment exponents and the local-dimension spectrum on a q grid.
-
-    tau(q) is bisected to machine precision so the central difference
-    alpha(q) = -(tau(q+h) - tau(q-h)) / 2h with h = DIFF_STEP stays well
-    below the step's own truncation error.
-    """
-    tau = _tau_solver(ifs)
     points = []
     for q in q_grid:
         try:
             q = float(q)
-            t = tau(q)
-            alpha = -(tau(q + DIFF_STEP) - tau(q - DIFF_STEP)) / (2 * DIFF_STEP)
+
+            def moments(t: float) -> list[float]:
+                return [p**q * r**t for p, r in zip(probs, ratios)]
+
+            t = _bisect_decreasing(lambda t: math.fsum(moments(t)) - 1.0, -1.0, 1.0)
+            w = moments(t)
         except OverflowError as exc:
             raise DomainError(
                 f"q = {q}: the moments p**q * r**tau overflow a double; use a smaller |q|"
             ) from exc
-        points.append(
-            MultifractalPoint(q=q, tau=t, alpha=alpha, f=q * alpha + t)
+        alpha = math.fsum(wi * math.log(p) for wi, p in zip(w, probs)) / math.fsum(
+            wi * math.log(r) for wi, r in zip(w, ratios)
         )
+        points.append(MultifractalPoint(q=q, tau=t, alpha=alpha, f=q * alpha + t))
     return points

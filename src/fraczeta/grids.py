@@ -21,15 +21,8 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    AddressError,
-    CapacityError,
-    InputError,
-    UnsupportedStructureError,
-)
-
-# Materializing more intervals than this requires an explicit opt-in.
-DEFAULT_ENUMERATION_CAP = 2**20
+from .errors import AddressError, InputError, UnsupportedStructureError
+from .limits import DEFAULT_ENUMERATION_CAP, MAX_STAGE_BITS, check_work
 
 # StageSet.numerators builds the numerators of the deepest levels once, as a
 # list of at most this many integers, and shifts a copy of it per upper-level
@@ -216,11 +209,8 @@ class StageSet:
 
     def check_cap(self, cap: int) -> None:
         """Raise CapacityError when enumerating this stage would exceed ``cap``."""
-        if self.interval_count > cap:
-            raise CapacityError(
-                f"stage {self.depth} of '{self.spec.label}' has "
-                f"{self.interval_count} intervals, above the enumeration cap {cap}"
-            )
+        count = self.interval_count
+        check_work(count, cap, f"stage {self.depth} of '{self.spec.label}' has {count} intervals")
 
     def materialize(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Interval]:
         self.check_cap(cap)
@@ -271,6 +261,9 @@ def build_stage(spec: GridSpec, depth: int) -> StageSet:
             f"spec '{spec.label}' has digits for {spec.max_depth} levels, "
             f"stage {depth} requested"
         )
+    # each level adds the bits of one base-b digit to the endpoints
+    bits = depth * (spec.base - 1).bit_length()
+    check_work(bits, MAX_STAGE_BITS, f"stage {depth} of '{spec.label}' has {bits}-bit endpoints")
     return StageSet(spec=spec, depth=depth)
 
 

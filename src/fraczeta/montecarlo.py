@@ -16,15 +16,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import CapacityError, InputError, SubcriticalRetentionWarning
-
-# A level costs about 25 us on top of about 160 us per trial: at the cap that
-# is about 30 s of work at depth 30, and about 3 min at depth 1, where the
-# per-trial cost dominates.  The quick tour runs 500 x 12 = 6000 levels.
-MAX_TRIAL_LEVELS = 1_000_000
-
-# numpy draws binomials only for counts that fit in an int64.
-MAX_BINOMIAL_COUNT = 2**63 - 1
+from .errors import InputError, SubcriticalRetentionWarning
+from .limits import MAX_BINOMIAL_COUNT, MAX_TRIAL_LEVELS, check_work
 
 
 def expected_dimension(p: float) -> float:
@@ -104,11 +97,7 @@ def _single_trial(config: RetentionConfig, index: int) -> TrialOutcome:
     counts = [1]
     n = 1
     for level in range(config.depth):
-        if n > MAX_BINOMIAL_COUNT:
-            raise CapacityError(
-                f"trial {index} has {n} survivors at level {level}, above numpy's "
-                f"binomial limit {MAX_BINOMIAL_COUNT}; lower the depth or the probabilities"
-            )
+        check_work(n, MAX_BINOMIAL_COUNT, f"trial {index} has {n} survivors at level {level}")
         n = int(rng.binomial(n, p1)) + int(rng.binomial(n, p3))
         counts.append(n)
     extinct = counts[-1] == 0
@@ -128,11 +117,9 @@ def run_trials(config: RetentionConfig) -> TrialRun:
     or when a trial's survivor count outgrows ``MAX_BINOMIAL_COUNT``.
     """
     levels = config.trials * config.depth
-    if levels > MAX_TRIAL_LEVELS:
-        raise CapacityError(
-            f"{config.trials} trials of depth {config.depth} are {levels} levels; "
-            f"the cap is {MAX_TRIAL_LEVELS}"
-        )
+    check_work(
+        levels, MAX_TRIAL_LEVELS, f"{config.trials} trials of depth {config.depth} are {levels} levels"
+    )
     import numpy as np
 
     outcomes = tuple(_single_trial(config, i) for i in range(config.trials))

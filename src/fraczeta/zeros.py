@@ -21,7 +21,7 @@ from pathlib import Path
 import mpmath as mp
 
 from .errors import InputError, ParseError
-from .zeta import check_text_exponent
+from .limits import check_text_exponent
 
 DEFAULT_DIGITIZE_DPS = 50
 MIN_DIGITIZE_DPS = 40
@@ -91,9 +91,11 @@ def _data_lines(path, kind: str):
     """
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {kind} file {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{p}: {kind} file is not UTF-8 text: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         token = raw.strip()
         if not token or token.startswith("#"):

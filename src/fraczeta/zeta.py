@@ -24,25 +24,21 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import CapacityError, DomainError, InputError, PoleError
+from .errors import DomainError, InputError, PoleError
+from .limits import (
+    DEFAULT_PRECISION_DIGITS,
+    MAX_PRECISION_DIGITS,
+    MAX_ZETA_TERMS,
+    check_work,
+    fraction_from_text,
+)
 
-DEFAULT_PRECISION_DIGITS = 50
 MAX_CORRECTION_K = 30
-
-# Each term n^-s costs tens of microseconds at 50 digits, so a sum of this
-# many takes a few seconds; at K = MAX_CORRECTION_K it certifies about 265
-# digits.
-MAX_ZETA_TERMS = 100_000
-
-# Working precision above this buys no certified zeta digit (the cap on N
-# stops near 265) and makes every mpmath operation slow.
-MAX_PRECISION_DIGITS = 1000
 
 # Above this s, zeta(s) - 1 < 2^(1-s) is below 10^-300000, so the value is 1
 # at any usable precision, while each power n^-s costs more as s grows
@@ -52,30 +48,10 @@ MAX_ZETA_S = 10**6
 # Internal guard digits so the last reported digit is trustworthy.
 _GUARD = 10
 
-# Fraction('1e9999999') builds a ten-million-digit integer before any range
-# check can run, so text with a larger decimal exponent is refused first.
-MAX_TEXT_EXPONENT = 1000
-_TEXT_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
-
 
 def bernoulli_numbers(upto: int) -> list[Fraction]:
     """Exact B_0..B_upto (B_1 = -1/2) from mpmath."""
     return [Fraction(*mp.bernfrac(k)) for k in range(upto + 1)]
-
-
-def check_text_exponent(text: str) -> None:
-    """Raise ``ValueError`` if ``text`` ends in a decimal exponent above ``MAX_TEXT_EXPONENT``."""
-    m = _TEXT_EXPONENT.search(text)
-    if m:
-        exponent = m.group(1).replace("_", "").lstrip("0") or "0"
-        if len(exponent) > len(str(MAX_TEXT_EXPONENT)) or int(exponent) > MAX_TEXT_EXPONENT:
-            raise ValueError(f"decimal exponent of {text!r} exceeds {MAX_TEXT_EXPONENT}")
-
-
-def fraction_from_text(text: str) -> Fraction:
-    """``Fraction(text)``, refusing a decimal exponent above ``MAX_TEXT_EXPONENT``."""
-    check_text_exponent(text)
-    return Fraction(text)
 
 
 def _to_exact(s) -> Fraction:
@@ -149,21 +125,14 @@ def _auto_terms(s_mp: mp.mpf, correction_K: int, rising: mp.mpf, precision_digit
     k = correction_K + 1
     c = abs(_bernoulli_coeff(k, mp.mp.prec) * rising)
     log_n = float(mp.log(c / target)) / float(s_mp + 2 * k - 1)
-    if log_n > math.log(MAX_ZETA_TERMS):
-        raise _terms_cap_error(precision_digits, mp.nstr(mp.exp(log_n), 3))
+    estimate = mp.exp(log_n)  # an mpf: past the cap math.exp can overflow
+    what = f"zeta at {precision_digits} digits needs N ="
+    check_work(estimate, MAX_ZETA_TERMS, f"{what} {mp.nstr(estimate, 3)} terms")
     n = max(2, math.floor(math.exp(log_n)))
     while abs(_correction_term(s_mp, mp.mpf(n), k, rising)) >= target:
         n += 1
-    if n > MAX_ZETA_TERMS:
-        raise _terms_cap_error(precision_digits, n)
+    check_work(n, MAX_ZETA_TERMS, f"{what} {n} terms")
     return n
-
-
-def _terms_cap_error(precision_digits: int, needed) -> CapacityError:
-    return CapacityError(
-        f"zeta at {precision_digits} digits needs N = {needed} terms; "
-        f"the cap is {MAX_ZETA_TERMS}"
-    )
 
 
 def zeta_euler_maclaurin(
@@ -196,15 +165,14 @@ def zeta_euler_maclaurin(
     if terms_N is not None:
         if terms_N < 2:
             raise InputError(f"terms_N must be >= 2, got {terms_N}")
-        if terms_N > MAX_ZETA_TERMS:
-            raise CapacityError(f"terms_N = {terms_N} exceeds the cap of {MAX_ZETA_TERMS}")
+        check_work(terms_N, MAX_ZETA_TERMS, f"terms_N = {terms_N}")
     if not (1 <= correction_K <= MAX_CORRECTION_K):
         raise InputError(
             f"correction_K must be in 1..{MAX_CORRECTION_K}, got {correction_K}"
         )
     if precision_digits < 20:
         raise InputError(f"precision_digits must be >= 20, got {precision_digits}")
-    check_precision(precision_digits)
+    check_work(precision_digits, MAX_PRECISION_DIGITS, f"precision of {precision_digits} digits")
 
     with mp.workdps(precision_digits + _GUARD):
         s_mp = _frac_to_mpf(s_exact)
@@ -234,14 +202,6 @@ def zeta_euler_maclaurin(
         error_bound=bound,
         precision_digits=precision_digits,
     )
-
-
-def check_precision(precision_digits: int) -> None:
-    """Raise ``CapacityError`` above ``MAX_PRECISION_DIGITS``."""
-    if precision_digits > MAX_PRECISION_DIGITS:
-        raise CapacityError(
-            f"precision of {precision_digits} digits exceeds the cap of {MAX_PRECISION_DIGITS}"
-        )
 
 
 def gamma_real(x, precision_digits: int = DEFAULT_PRECISION_DIGITS) -> mp.mpf:

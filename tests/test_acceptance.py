@@ -20,7 +20,7 @@ from fraczeta.cardinality import (
     compare_trace,
     conservation_report,
 )
-from fraczeta.cli import EXIT_OK, main
+from fraczeta.cli import main
 from fraczeta.dimension import (
     box_dimension_fit,
     multifractal_spectrum,
@@ -61,7 +61,7 @@ def test_criterion_01_zeta_half(capsys):
         )
         elapsed = time.perf_counter() - start
         out = capsys.readouterr().out
-        assert code == EXIT_OK
+        assert code == 0
         value = json.loads(out)["result"]["value"]
         with mp.workdps(60):
             diff = abs(mp.mpf(value) - mp.mpf(PAPER_ZETA_HALF))

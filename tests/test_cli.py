@@ -15,12 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraczeta.cli import (
-    EXIT_CAPACITY,
-    EXIT_DOMAIN,
-    EXIT_INPUT,
-    EXIT_OK,
-    EXIT_PARSE,
-    MAX_Q_POINTS,
     _finite_float,
     _parse_list,
     _parse_q_grid,
@@ -37,19 +31,19 @@ from fraczeta.errors import (
     PoleError,
     UnsupportedStructureError,
 )
-from fraczeta.zeta import fraction_from_text
+from fraczeta.limits import MAX_Q_POINTS, fraction_from_text
 
 
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    assert code == EXIT_OK, out
+    assert code == 0, out
     return json.loads(out)
 
 
 class TestConstruct:
     def test_pess_depth3_csv_has_8_rows(self, capsys):
-        assert main(["construct", "pess", "--depth", "3", "--format", "csv"]) == EXIT_OK
+        assert main(["construct", "pess", "--depth", "3", "--format", "csv"]) == 0
         out = capsys.readouterr().out
         rows = [l for l in out.splitlines() if l and not l.startswith("#") and "," in l]
         assert len(rows) == 9  # header + 8 intervals
@@ -83,20 +77,20 @@ class TestConstruct:
         assert manifest["parameters"]["depth"] == 1
 
     def test_capacity_exit_code(self, capsys):
-        assert main(["construct", "pess", "--depth", "30"]) == EXIT_CAPACITY
+        assert main(["construct", "pess", "--depth", "30"]) == CapacityError.exit_code
 
     def test_unknown_name_exit_code(self, capsys):
-        assert main(["construct", "wat", "--depth", "2"]) == EXIT_INPUT
+        assert main(["construct", "wat", "--depth", "2"]) == InputError.exit_code
 
     def test_bad_residues_exit_code(self, capsys):
         assert main(
             ["construct", "--modq", "6", "--keep", "1,9", "--depth", "2"]
-        ) == EXIT_INPUT
+        ) == InputError.exit_code
 
     def test_missing_file_exit_code(self, capsys):
         assert main(
             ["construct", "--zeros", "/nonexistent/zeros.txt", "--depth", "2"]
-        ) == EXIT_INPUT
+        ) == InputError.exit_code
 
     def test_order_standard_sorts_the_zero_file(self, capsys, tmp_path, zeros_path):
         lines = [l for l in zeros_path.read_text().splitlines() if l and not l.startswith("#")]
@@ -181,15 +175,15 @@ class TestZeta:
             assert abs(mp.mpf(result["value"]) - ref) <= mp.mpf(10) ** -99 * abs(ref)
 
     def test_pole_exit_code(self, capsys):
-        assert main(["zeta", "--s", "1"]) == EXIT_DOMAIN
+        assert main(["zeta", "--s", "1"]) == DomainError.exit_code
 
     def test_negative_argument_exit_code(self, capsys):
-        assert main(["zeta", "--s=-0.5"]) == EXIT_DOMAIN
+        assert main(["zeta", "--s=-0.5"]) == DomainError.exit_code
 
 
 class TestZeros:
     def test_digitize_csv(self, capsys, zeros_path):
-        assert main(["zeros", "digitize", "--file", str(zeros_path)]) == EXIT_OK
+        assert main(["zeros", "digitize", "--file", str(zeros_path)]) == 0
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if not l.startswith("#")]
         assert lines[0] == "n,gamma,t,a,boundary_flag"
@@ -205,9 +199,9 @@ class TestZeros:
 
     def test_reorder_random_deterministic(self, capsys, zeros_path):
         argv = ["zeros", "reorder", "--file", str(zeros_path), "--mode", "random", "--seed", "11"]
-        assert main(argv) == EXIT_OK
+        assert main(argv) == 0
         first = capsys.readouterr().out
-        assert main(argv) == EXIT_OK
+        assert main(argv) == 0
         second = capsys.readouterr().out
         body = lambda text: [l for l in text.splitlines() if not l.startswith("#")]
         assert body(first) == body(second)
@@ -216,7 +210,7 @@ class TestZeros:
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("14.2\noops\n")
-        assert main(["zeros", "stats", "--file", str(bad)]) == EXIT_PARSE
+        assert main(["zeros", "stats", "--file", str(bad)]) == ParseError.exit_code
 
 
 class TestCompareCatalogConservation:
@@ -228,7 +222,7 @@ class TestCompareCatalogConservation:
         assert trace[1]["component"] == "delta" and trace[1]["relation"] == "greater"
 
     def test_compare_unknown_name(self, capsys):
-        assert main(["compare", "--a", "pess", "--b", "nope"]) == EXIT_INPUT
+        assert main(["compare", "--a", "pess", "--b", "nope"]) == InputError.exit_code
 
     def test_catalog_json_rows(self, capsys):
         payload = run_json(capsys, ["catalog"])
@@ -236,7 +230,7 @@ class TestCompareCatalogConservation:
         assert names == ["pess", "cantor13", "zf", "unit-interval", "cantor", "trivial-zeros"]
 
     def test_catalog_table_renders(self, capsys):
-        assert main(["catalog", "--format", "table"]) == EXIT_OK
+        assert main(["catalog", "--format", "table"]) == 0
         out = capsys.readouterr().out
         assert "pess" in out and "trivial-zeros" in out and "I(M)" in out
 
@@ -249,7 +243,7 @@ class TestCompareCatalogConservation:
         assert sum(result["digit_stats"]["counts"]) == 100
 
     def test_conservation_pair_table(self, capsys):
-        assert main(["conservation", "--format", "table"]) == EXIT_OK
+        assert main(["conservation", "--format", "table"]) == 0
         out = capsys.readouterr().out
         assert "hausdorff dimension" in out
         assert "information measure" in out
@@ -298,7 +292,7 @@ class TestPerturbAndMultifractal:
         assert len(rows) == 101
 
     def test_perturb_requires_one_probability_flag(self, capsys):
-        assert main(["perturb", "--depth", "5", "--trials", "5", "--seed", "1"]) == EXIT_INPUT
+        assert main(["perturb", "--depth", "5", "--trials", "5", "--seed", "1"]) == InputError.exit_code
 
     def test_multifractal_monofractal_output(self, capsys):
         payload = run_json(
@@ -331,9 +325,9 @@ class TestConsoleScript:
 class TestReproducibility:
     def test_numeric_payload_byte_identical(self, capsys):
         argv = ["zeta", "--s", "2/3", "--terms", "1500", "--k", "8"]
-        assert main(argv) == EXIT_OK
+        assert main(argv) == 0
         first = json.loads(capsys.readouterr().out)
-        assert main(argv) == EXIT_OK
+        assert main(argv) == 0
         second = json.loads(capsys.readouterr().out)
         assert json.dumps(first["result"]) == json.dumps(second["result"])
 
@@ -382,68 +376,82 @@ def _reject_constant(name):
 
 # (argv, environment, exit code); ZEROS stands for the shipped zero file,
 # INF_ZEROS for a zero file with an 'inf' line, HUGE_ZEROS and HUGE_WEIGHTS
-# for a zero file and a weight file with a '1e999999' line.
+# for a zero file and a weight file with a '1e999999' line, NOT_UTF8 for a
+# file of bytes that are not UTF-8, DIR for a directory and NO_DIR/ for a
+# directory that does not exist.
 EXIT_CASES = [
-    (["perturb", "--bias", "x,0.5", "--depth", "5", "--trials", "5", "--seed", "1"], {}, EXIT_INPUT),
-    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", "nan"], {}, EXIT_INPUT),
-    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", "inf"], {}, EXIT_INPUT),
-    (["zeros", "digitize", "--file", "ZEROS", "--format", "json", "--tol", "nan"], {}, EXIT_INPUT),
-    (["zeros", "stats", "--file", "ZEROS", "--tol", "inf"], {}, EXIT_INPUT),
-    (["zeros", "stats", "--file", "INF_ZEROS"], {}, EXIT_PARSE),
-    (["zeta", "--s", "abc"], {}, EXIT_INPUT),
-    (["zeta", "--s", "nan"], {}, EXIT_INPUT),
-    (["zeta", "--s", "inf"], {}, EXIT_INPUT),
-    (["zeta", "--s", "1/0"], {}, EXIT_INPUT),
-    (["construct", "pess", "--depth", "2", "--tol", "nan"], {}, EXIT_INPUT),
+    (["perturb", "--bias", "x,0.5", "--depth", "5", "--trials", "5", "--seed", "1"], {}, InputError.exit_code),
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", "nan"], {}, InputError.exit_code),
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", "inf"], {}, InputError.exit_code),
+    (["zeros", "digitize", "--file", "ZEROS", "--format", "json", "--tol", "nan"], {}, InputError.exit_code),
+    (["zeros", "stats", "--file", "ZEROS", "--tol", "inf"], {}, InputError.exit_code),
+    (["zeros", "stats", "--file", "INF_ZEROS"], {}, ParseError.exit_code),
+    (["zeta", "--s", "abc"], {}, InputError.exit_code),
+    (["zeta", "--s", "nan"], {}, InputError.exit_code),
+    (["zeta", "--s", "inf"], {}, InputError.exit_code),
+    (["zeta", "--s", "1/0"], {}, InputError.exit_code),
+    (["construct", "pess", "--depth", "2", "--tol", "nan"], {}, InputError.exit_code),
     # 256 intervals: without the cap check the CSV path streams them and exits 0
-    (["construct", "pess", "--depth", "8", "--format", "csv", "--cap", "100"], {}, EXIT_CAPACITY),
-    (["zeta", "--s", "2", "--terms", "50", "--k", "4"], {"FRACZETA_PRECISION": "abc"}, EXIT_INPUT),
-    (["construct", "--modq", "6", "--keep", "1,x", "--depth", "2"], {}, EXIT_INPUT),
-    (["dimension", "pess", "--method", "boxcount", "--scales", "1/0,1/2"], {}, EXIT_INPUT),
-    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", "0,1,2.5"], {}, EXIT_OK),
-    (["perturb", "--bias", "0.6,0.9", "--depth", "6", "--trials", "20", "--seed", "3"], {}, EXIT_OK),
-    (["zeros", "digitize", "--file", "ZEROS", "--format", "json", "--tol", "1e-3"], {}, EXIT_OK),
-    (["zeta", "--s", "2/3", "--terms", "200", "--k", "6"], {"FRACZETA_PRECISION": "25"}, EXIT_OK),
-    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", "1e6"], {}, EXIT_DOMAIN),
-    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q=-1e6"], {}, EXIT_DOMAIN),
-    (["dimension", "pess", "--method", "boxcount", "--depth", "3", "--scales", "1e-400,1/4,1/16"], {}, EXIT_INPUT),
-    (["dimension", "pess", "--method", "boxcount", "--depth", "3", "--scales", "1e400,1/4,1/16"], {}, EXIT_INPUT),
+    (["construct", "pess", "--depth", "8", "--format", "csv", "--cap", "100"], {}, CapacityError.exit_code),
+    (["zeta", "--s", "2", "--terms", "50", "--k", "4"], {"FRACZETA_PRECISION": "abc"}, InputError.exit_code),
+    (["construct", "--modq", "6", "--keep", "1,x", "--depth", "2"], {}, InputError.exit_code),
+    (["dimension", "pess", "--method", "boxcount", "--scales", "1/0,1/2"], {}, InputError.exit_code),
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", "0,1,2.5"], {}, 0),
+    (["perturb", "--bias", "0.6,0.9", "--depth", "6", "--trials", "20", "--seed", "3"], {}, 0),
+    (["zeros", "digitize", "--file", "ZEROS", "--format", "json", "--tol", "1e-3"], {}, 0),
+    (["zeta", "--s", "2/3", "--terms", "200", "--k", "6"], {"FRACZETA_PRECISION": "25"}, 0),
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", "1e6"], {}, DomainError.exit_code),
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q=-1e6"], {}, DomainError.exit_code),
+    (["dimension", "pess", "--method", "boxcount", "--depth", "3", "--scales", "1e-400,1/4,1/16"], {}, InputError.exit_code),
+    (["dimension", "pess", "--method", "boxcount", "--depth", "3", "--scales", "1e400,1/4,1/16"], {}, InputError.exit_code),
     # a huge decimal exponent is refused before Fraction builds the integer
-    (["dimension", "pess", "--method", "boxcount", "--depth", "3", "--scales", "1e9999999,1/4,1/16"], {}, EXIT_INPUT),
-    (["multifractal", "--ratios", "1e9999999,1/4", "--weights", "1/2,1/2", "--q", "1"], {}, EXIT_INPUT),
-    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1e-9999999,1/2", "--q", "1"], {}, EXIT_INPUT),
-    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q-range=0:1e9999999:1"], {}, EXIT_INPUT),
-    (["zeta", "--s", "1e9999999"], {}, EXIT_INPUT),
-    (["zeta", "--s", "1e1_0000000"], {}, EXIT_INPUT),
-    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q-range=1e400:1e400:1"], {}, EXIT_INPUT),
+    (["dimension", "pess", "--method", "boxcount", "--depth", "3", "--scales", "1e9999999,1/4,1/16"], {}, InputError.exit_code),
+    (["multifractal", "--ratios", "1e9999999,1/4", "--weights", "1/2,1/2", "--q", "1"], {}, InputError.exit_code),
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1e-9999999,1/2", "--q", "1"], {}, InputError.exit_code),
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q-range=0:1e9999999:1"], {}, InputError.exit_code),
+    (["zeta", "--s", "1e9999999"], {}, InputError.exit_code),
+    (["zeta", "--s", "1e1_0000000"], {}, InputError.exit_code),
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q-range=1e400:1e400:1"], {}, InputError.exit_code),
     # --digits 0 is a value, not an absent flag
-    (["zeta", "--s", "2", "--terms", "50", "--k", "4", "--digits", "0"], {"FRACZETA_PRECISION": "25"}, EXIT_INPUT),
+    (["zeta", "--s", "2", "--terms", "50", "--k", "4", "--digits", "0"], {"FRACZETA_PRECISION": "25"}, InputError.exit_code),
     # a huge exponent in a data file is refused before it is expanded
-    (["zeros", "stats", "--file", "HUGE_ZEROS"], {}, EXIT_PARSE),
-    (["zeros", "reorder", "--file", "ZEROS", "--mode", "external", "--weights", "HUGE_WEIGHTS"], {}, EXIT_PARSE),
+    (["zeros", "stats", "--file", "HUGE_ZEROS"], {}, ParseError.exit_code),
+    (["zeros", "reorder", "--file", "ZEROS", "--mode", "external", "--weights", "HUGE_WEIGHTS"], {}, ParseError.exit_code),
     # the q grid is counted before it is built
-    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q-range=0:1:1e-6"], {}, EXIT_CAPACITY),
-    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q-range=0:1e300:1"], {}, EXIT_CAPACITY),
-    (["zeta", "--s", "1e400"], {}, EXIT_DOMAIN),
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q-range=0:1:1e-6"], {}, CapacityError.exit_code),
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q-range=0:1e300:1"], {}, CapacityError.exit_code),
+    (["zeta", "--s", "1e400"], {}, DomainError.exit_code),
     # zeta work is bounded in terms and in precision, perturb in trials x depth
-    (["zeta", "--s", "0.5", "--terms", "100000000"], {}, EXIT_CAPACITY),
-    (["zeta", "--s", "0.5", "--digits", "100000000"], {}, EXIT_CAPACITY),
-    (["zeta", "--s", "2", "--terms", "50", "--k", "4", "--digits", "100000000"], {}, EXIT_CAPACITY),
-    (["zeta", "--s", "0.5", "--digits", "300"], {}, EXIT_CAPACITY),
-    (["catalog"], {"FRACZETA_PRECISION": "300"}, EXIT_CAPACITY),
-    (["zeros", "stats", "--file", "ZEROS", "--digits", "100000000"], {}, EXIT_CAPACITY),
-    (["perturb", "--p", "0.75", "--depth", "30", "--trials", "100000000", "--seed", "1"], {}, EXIT_CAPACITY),
+    (["zeta", "--s", "0.5", "--terms", "100000000"], {}, CapacityError.exit_code),
+    (["zeta", "--s", "0.5", "--digits", "100000000"], {}, CapacityError.exit_code),
+    (["zeta", "--s", "2", "--terms", "50", "--k", "4", "--digits", "100000000"], {}, CapacityError.exit_code),
+    (["zeta", "--s", "0.5", "--digits", "300"], {}, CapacityError.exit_code),
+    (["catalog"], {"FRACZETA_PRECISION": "300"}, CapacityError.exit_code),
+    (["zeros", "stats", "--file", "ZEROS", "--digits", "100000000"], {}, CapacityError.exit_code),
+    (["perturb", "--p", "0.75", "--depth", "30", "--trials", "100000000", "--seed", "1"], {}, CapacityError.exit_code),
     # N = 2 at K = 30 leaves a bound above 1: no digit is certified, none is printed
-    (["zeta", "--s", "0.5", "--terms", "2"], {}, EXIT_INPUT),
+    (["zeta", "--s", "0.5", "--terms", "2"], {}, InputError.exit_code),
     # survivor counts that outgrow numpy's int64 binomial draw
-    (["perturb", "--p", "1", "--depth", "70", "--trials", "1", "--seed", "1"], {}, EXIT_CAPACITY),
-    (["perturb", "--p", "0.75", "--depth", "1000000", "--trials", "1", "--seed", "1"], {}, EXIT_CAPACITY),
+    (["perturb", "--p", "1", "--depth", "70", "--trials", "1", "--seed", "1"], {}, CapacityError.exit_code),
+    (["perturb", "--p", "0.75", "--depth", "1000000", "--trials", "1", "--seed", "1"], {}, CapacityError.exit_code),
     # 2^30 intervals per scale: the stage is capped before any box is counted
-    (["dimension", "pess", "--method", "boxcount", "--depth", "30"], {}, EXIT_CAPACITY),
+    (["dimension", "pess", "--method", "boxcount", "--depth", "30"], {}, CapacityError.exit_code),
     # intervals x distinct scales is checked against the 2^20 cap before any box is
     # counted: 2^20 x 20 and 2^17 x 17 exceed it (depth 16, 2^16 x 16, does not)
-    (["dimension", "pess", "--method", "boxcount", "--depth", "20"], {}, EXIT_CAPACITY),
-    (["dimension", "pess", "--method", "boxcount", "--depth", "17"], {}, EXIT_CAPACITY),
+    (["dimension", "pess", "--method", "boxcount", "--depth", "20"], {}, CapacityError.exit_code),
+    (["dimension", "pess", "--method", "boxcount", "--depth", "17"], {}, CapacityError.exit_code),
+    # an output that cannot be written is an input error naming its flag
+    (["construct", "pess", "--depth", "2", "--out", "NO_DIR/x.json"], {}, InputError.exit_code),
+    (["construct", "pess", "--depth", "2", "--out", "DIR"], {}, InputError.exit_code),
+    (["dimension", "pess", "--method", "boxcount", "--depth", "3", "--points-csv", "NO_DIR/p.csv"], {}, InputError.exit_code),
+    (["perturb", "--p", "0.75", "--depth", "3", "--trials", "3", "--seed", "1", "--per-trial", "NO_DIR/t.csv"], {}, InputError.exit_code),
+    # a data file that is not UTF-8 is a parse error naming the file
+    (["zeros", "stats", "--file", "NOT_UTF8"], {}, ParseError.exit_code),
+    (["zeros", "reorder", "--file", "ZEROS", "--mode", "external", "--weights", "NOT_UTF8"], {}, ParseError.exit_code),
+    (["construct", "pess", "--depth", "2", "--cap", "-5"], {}, InputError.exit_code),
+    # stage endpoints past MAX_STAGE_BITS are refused before the stage is counted
+    (["construct", "pess", "--depth", "100000"], {}, CapacityError.exit_code),
+    (["dimension", "pess", "--method", "boxcount", "--depth", str(10**30)], {}, CapacityError.exit_code),
 ]
 
 # an error exit is reached within this many seconds
@@ -455,19 +463,22 @@ def test_exit_codes(capsys, monkeypatch, tmp_path, zeros_path, argv, env, code):
     monkeypatch.delenv("FRACZETA_PRECISION", raising=False)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
-    files = {"ZEROS": str(zeros_path)}
-    for name, text in (
-        ("INF_ZEROS", "14.134725141734693\ninf\n"),
-        ("HUGE_ZEROS", "14.134725141734693\n1e999999\n"),
-        ("HUGE_WEIGHTS", "1 0.5\n2 1e999999\n"),
+    files = {"ZEROS": str(zeros_path), "DIR": str(tmp_path), "NO_DIR": str(tmp_path / "missing")}
+    for name, data in (
+        ("INF_ZEROS", b"14.134725141734693\ninf\n"),
+        ("HUGE_ZEROS", b"14.134725141734693\n1e999999\n"),
+        ("HUGE_WEIGHTS", b"1 0.5\n2 1e999999\n"),
+        ("NOT_UTF8", b"\xff\xfe"),
     ):
         files[name] = str(tmp_path / name)
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(data)
+    argv = [files.get(a, a) for a in argv]
+    argv = [a.replace("NO_DIR/", files["NO_DIR"] + "/") for a in argv]
     start = time.perf_counter()
-    assert main([files.get(a, a) for a in argv]) == code
+    assert main(argv) == code
     elapsed = time.perf_counter() - start
     out, err = capsys.readouterr()
-    if code == EXIT_OK:
+    if code == 0:
         assert err == ""
         json.loads(out, parse_constant=_reject_constant)
     else:

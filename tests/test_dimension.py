@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -273,3 +274,32 @@ class TestMultifractal:
     def test_weights_required(self):
         with pytest.raises(InputError):
             multifractal_spectrum(ifs_of_grid(make_pess_spec()), [0.0, 1.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 11).flatmap(lambda n: st.builds(F, st.just(n), st.integers(n + 1, 12))),
+                st.integers(1, 20),
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+        st.lists(st.floats(-10, 10), min_size=1, max_size=4),
+    )
+    def test_matches_findroot_tau_and_differentiated_alpha(self, maps, q_grid):
+        total = sum(w for _, w in maps)
+        ifs = GeneralIfsSpec(maps=tuple(IfsMap(r, F(0), F(w, total)) for r, w in maps))
+        with mp.workdps(40):
+            probs = [mp.mpf(w) / total for _, w in maps]
+            ratios = [mp.mpf(r.numerator) / r.denominator for r, _ in maps]
+            for point in multifractal_spectrum(ifs, q_grid):
+
+                def tau(q, start=point.tau):
+                    return mp.findroot(
+                        lambda t: mp.fsum(p**q * r**t for p, r in zip(probs, ratios)) - 1, start
+                    )
+
+                assert abs(point.tau - tau(point.q)) < 1e-12
+                assert abs(point.alpha + mp.diff(tau, point.q)) < 1e-12
+                assert point.f == point.q * point.alpha + point.tau

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from fraczeta.cli import EXIT_OK, main
+from fraczeta.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = DATA_DIR / "golden"
@@ -69,7 +69,7 @@ def run_tour(workdir: Path) -> dict[str, str]:
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = main(shlex.split(command))
-            assert code == EXIT_OK, command
+            assert code == 0, command
             outputs[golden_name(i)] = mask(buf.getvalue())
         for name in WRITTEN_FILES:
             outputs[name] = mask((workdir / name).read_text())

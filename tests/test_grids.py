@@ -18,7 +18,6 @@ from fraczeta.errors import (
     UnsupportedStructureError,
 )
 from fraczeta.grids import (
-    DEFAULT_ENUMERATION_CAP,
     Address,
     GeneralIfsSpec,
     GridSpec,
@@ -36,6 +35,7 @@ from fraczeta.grids import (
     stage_to_json,
     write_stage_csv,
 )
+from fraczeta.limits import DEFAULT_ENUMERATION_CAP
 
 F = Fraction
 

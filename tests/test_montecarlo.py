@@ -7,9 +7,8 @@ import pytest
 import fraczeta.montecarlo as montecarlo_module
 from fraczeta.errors import CapacityError, InputError, SubcriticalRetentionWarning
 from fraczeta.grids import build_stage, make_pess_spec
+from fraczeta.limits import MAX_BINOMIAL_COUNT, MAX_TRIAL_LEVELS
 from fraczeta.montecarlo import (
-    MAX_BINOMIAL_COUNT,
-    MAX_TRIAL_LEVELS,
     RetentionConfig,
     expected_dimension,
     predicted_dimension,

@@ -1,9 +1,12 @@
 """Static checks on the package source."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from test_golden import TOUR
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fraczeta"
 
@@ -34,3 +37,55 @@ def test_checker_finds_an_unused_import():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def capacity_error_uses(source: str) -> list[str]:
+    """How a module names ``CapacityError``: 'read', 'import' or 'class', in source order."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "CapacityError":
+            uses.append("read")
+        elif isinstance(node, ast.Attribute) and node.attr == "CapacityError":
+            uses.append("read")
+        elif isinstance(node, ast.alias) and node.name == "CapacityError":
+            uses.append("import")
+        elif isinstance(node, ast.ClassDef) and node.name == "CapacityError":
+            uses.append("class")
+    return uses
+
+
+def test_capacity_check_finds_each_kind_of_use():
+    assert capacity_error_uses("'CapacityError'\nx = errors.InputError\n") == []
+    assert capacity_error_uses("raise CapacityError('x')\n") == ["read"]
+    assert capacity_error_uses("raise errors.CapacityError('x')\n") == ["read"]
+    assert capacity_error_uses("from .errors import CapacityError as C\n") == ["import"]
+    assert capacity_error_uses("class CapacityError(Exception): pass\n") == ["class"]
+
+
+# Capacity errors are raised only by limits.check_work; __init__ re-exports the class.
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name not in {"errors.py", "limits.py"}), ids=lambda p: p.name
+)
+def test_only_limits_names_capacity_error(path):
+    expected = ["import"] if path.name == "__init__.py" else []
+    assert capacity_error_uses(path.read_text()) == expected
+
+
+def test_zeros_and_limits_load_without_zeta():
+    """Load the modules from a bare package, so the eager ``__init__`` imports nothing."""
+    code = (
+        "import sys, types\n"
+        f"pkg = types.ModuleType('fraczeta'); pkg.__path__ = [{str(PACKAGE)!r}]\n"
+        "sys.modules['fraczeta'] = pkg\n"
+        "import fraczeta.zeros, fraczeta.limits\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('fraczeta.')))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout.split() == ["fraczeta.errors", "fraczeta.limits", "fraczeta.zeros"]
+
+
+def test_readme_quick_tour_is_the_golden_tour():
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    block = readme.split("## CLI quick tour", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.removeprefix("fraczeta ") for line in block.splitlines() if line]
+    assert commands == TOUR

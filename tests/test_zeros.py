@@ -14,7 +14,7 @@ from fraczeta.zeros import (
     reorder,
     reorder_external_weights,
 )
-from fraczeta.zeta import MAX_TEXT_EXPONENT
+from fraczeta.limits import MAX_TEXT_EXPONENT
 
 GAMMA_1 = "14.134725141734693"
 GAMMA_2 = "21.022039638771555"

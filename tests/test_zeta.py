@@ -10,17 +10,19 @@ from hypothesis import strategies as st
 
 import fraczeta.zeta as zeta_module
 from fraczeta.errors import CapacityError, DomainError, InputError, PoleError
+from fraczeta.limits import (
+    MAX_PRECISION_DIGITS,
+    MAX_TEXT_EXPONENT,
+    MAX_ZETA_TERMS,
+    fraction_from_text,
+)
 from fraczeta.zeta import (
     _GUARD,
     MAX_CORRECTION_K,
-    MAX_PRECISION_DIGITS,
-    MAX_TEXT_EXPONENT,
     MAX_ZETA_S,
-    MAX_ZETA_TERMS,
     _bernoulli_coeff,
     bernoulli_numbers,
     certified_digits,
-    fraction_from_text,
     functional_equation_residual,
     gamma_real,
     zeta_euler_maclaurin,
