@@ -21,23 +21,7 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 
-import mpmath as mp
-
 from . import __version__
-from .cardinality import (
-    axiom_suite,
-    catalog,
-    catalog_map,
-    compare_extended,
-    compare_trace,
-    conservation_report,
-)
-from .dimension import (
-    box_dimension_fit,
-    multifractal_spectrum,
-    similarity_dimension,
-    write_fit_points_csv,
-)
 from .errors import FraczetaError, InputError
 from .grids import (
     GeneralIfsSpec,
@@ -51,24 +35,19 @@ from .grids import (
     write_stage_csv,
 )
 from .limits import (
+    DEFAULT_BOUNDARY_TOL,
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_PRECISION_DIGITS,
     MAX_PRECISION_DIGITS,
     MAX_Q_POINTS,
+    MIN_DIGITIZE_DPS,
     check_work,
     fraction_from_text,
 )
-from .montecarlo import RetentionConfig, run_trials
-from .zeros import (
-    DEFAULT_BOUNDARY_TOL,
-    MIN_DIGITIZE_DPS,
-    digit_stats,
-    digitize,
-    parse_zero_file,
-    reorder,
-    reorder_external_weights,
-)
-from .zeta import zeta_euler_maclaurin
+
+# Modules that only some commands use (cardinality, dimension, montecarlo,
+# zeros, zeta, and mpmath with them) are imported inside those commands,
+# so a command loads only what it runs.
 
 
 def _manifest(args, digits: int, **extra) -> dict:
@@ -120,6 +99,8 @@ def _write_text(text: str, path: str | None, flag: str = "--out") -> None:
 
 
 def _mpf_str(value, digits: int) -> str:
+    import mpmath as mp
+
     # conversion must run at full precision; mp.mpf rounds to the context
     with mp.workdps(max(digits, mp.mp.dps)):
         return mp.nstr(mp.mpf(value), digits)
@@ -128,6 +109,8 @@ def _mpf_str(value, digits: int) -> str:
 def _zeta_str(value, zv, digits: int) -> str:
     """``value``, derived from the evaluation ``zv``, to the ``digits`` asked
     for, or to fewer when the truncation bound certifies fewer."""
+    import mpmath as mp
+
     shown = min(digits, zv.certified_digits)
     if shown < 1:
         raise InputError(
@@ -177,6 +160,8 @@ def _spec_from_args(args, digits: int) -> GridSpec:
     if args.name:
         return make_named_spec(args.name)
     if args.zeros:
+        from .zeros import digitize, parse_zero_file, reorder
+
         table = reorder(parse_zero_file(args.zeros), args.order, args.seed)
         return make_zf_spec(digitize(table, digits, args.tol))
     if args.keep is None:
@@ -202,6 +187,8 @@ def cmd_construct(args, digits: int) -> None:
 
 
 def cmd_dimension(args, digits: int) -> None:
+    from .dimension import box_dimension_fit, similarity_dimension, write_fit_points_csv
+
     spec = _spec_from_args(args, digits)
     manifest = _manifest(args, digits, label=spec.label)
     if args.method == "similarity":
@@ -218,14 +205,16 @@ def cmd_dimension(args, digits: int) -> None:
             scales = _parse_list(args.scales, "--scales", fraction_from_text)
         else:
             scales = [Fraction(1, spec.base**k) for k in range(1, args.depth + 1)]
-        # each distinct scale enumerates the whole stage once
+        # each distinct scale enumerates the whole stage once, and each
+        # interval costs arithmetic on its endpoints' machine words
         distinct = len(set(scales))
-        work = stage.interval_count * distinct
+        words = spec.endpoint_bits(args.depth) // 64 + 1
         check_work(
-            work,
+            stage.interval_count * distinct * words,
             DEFAULT_ENUMERATION_CAP,
-            f"box counting {stage.interval_count} intervals at {distinct} scales "
-            f"enumerates {work} intervals",
+            "box counting {intervals} intervals of {words}-word endpoints at {scales} scales "
+            "costs {amount} interval-words",
+            intervals=stage.interval_count, words=words, scales=distinct,
         )
         est = box_dimension_fit(stage, scales)
         if args.points_csv:
@@ -257,6 +246,8 @@ def _zeta_json(zv, digits: int) -> dict:
 
 
 def cmd_zeta(args, digits: int) -> None:
+    from .zeta import zeta_euler_maclaurin
+
     zv = zeta_euler_maclaurin(args.s, args.terms, args.k, digits)
     manifest = _manifest(args, digits, terms=zv.terms_N, k=zv.correction_K)
     result = {**_zeta_json(zv, digits), "precision_digits": zv.precision_digits}
@@ -264,6 +255,8 @@ def cmd_zeta(args, digits: int) -> None:
 
 
 def _load_table(args):
+    from .zeros import parse_zero_file, reorder, reorder_external_weights
+
     table = parse_zero_file(args.file)
     if getattr(args, "mode", None):
         if args.mode == "external":
@@ -276,6 +269,8 @@ def _load_table(args):
 
 
 def cmd_zeros_digitize(args, digits: int) -> None:
+    from .zeros import digitize
+
     table = _load_table(args)
     seq = digitize(table, digits, args.tol)
     manifest = _manifest(args, digits, ordering=table.ordering)
@@ -307,6 +302,8 @@ def cmd_zeros_digitize(args, digits: int) -> None:
 
 
 def cmd_zeros_stats(args, digits: int) -> None:
+    from .zeros import digit_stats, digitize
+
     table = _load_table(args)
     seq = digitize(table, digits, args.tol)
     stats = digit_stats(seq)
@@ -327,6 +324,8 @@ def cmd_zeros_reorder(args, digits: int) -> None:
 
 
 def cmd_compare(args, digits: int) -> None:
+    from .cardinality import catalog_map, compare_extended, compare_trace
+
     entries = catalog_map(precision_digits=digits)
     missing = [n for n in (args.a, args.b) if n not in entries]
     if missing:
@@ -345,6 +344,8 @@ def cmd_compare(args, digits: int) -> None:
 
 
 def _catalog_rows(digits: int):
+    from .cardinality import catalog
+
     rows = []
     for e in catalog(precision_digits=digits):
         c = e.cardinality
@@ -367,6 +368,8 @@ def _catalog_rows(digits: int):
 
 
 def cmd_catalog(args, digits: int) -> None:
+    import mpmath as mp
+
     rows = _catalog_rows(digits)
     manifest = _manifest(args, digits)
     if args.format == "json":
@@ -392,6 +395,8 @@ def cmd_catalog(args, digits: int) -> None:
 
 def _pair_table(report) -> str:
     """Side-by-side property table for the two signed constructions."""
+    import mpmath as mp
+
     shown = min(10, report.zeta.certified_digits)
     iota_p = mp.nstr(report.iota_pess, shown)
     iota_z = mp.nstr(report.iota_zf, shown)
@@ -412,6 +417,9 @@ def _pair_table(report) -> str:
 
 
 def cmd_conservation(args, digits: int) -> None:
+    from .cardinality import conservation_report
+    from .zeros import digitize, parse_zero_file
+
     seq = digitize(parse_zero_file(args.zeros), digits) if args.zeros else None
     report = conservation_report(precision_digits=digits, zero_digits=seq)
     manifest = _manifest(args, digits)
@@ -432,12 +440,16 @@ def cmd_conservation(args, digits: int) -> None:
 
 
 def cmd_axioms(args, digits: int) -> None:
+    from .cardinality import axiom_suite
+
     checks = axiom_suite(precision_digits=digits)
     manifest = _manifest(args, digits)
     _emit_json(args, manifest, [asdict(c) for c in checks])
 
 
 def cmd_perturb(args, digits: int) -> None:
+    from .montecarlo import RetentionConfig, run_trials
+
     if (args.p is None) == (args.bias is None):
         raise InputError("give exactly one of --p or --bias p1,p3")
     if args.p is not None:
@@ -494,6 +506,8 @@ def _parse_q_grid(args) -> list[float]:
 
 
 def cmd_multifractal(args, digits: int) -> None:
+    from .dimension import multifractal_spectrum
+
     ratios = _parse_list(args.ratios, "--ratios", fraction_from_text)
     weights = _parse_list(args.weights, "--weights", fraction_from_text)
     if len(ratios) != len(weights):

@@ -106,6 +106,10 @@ class GridSpec:
             )
         return self.per_level[level - 1]
 
+    def endpoint_bits(self, depth: int) -> int:
+        """Bits of a stage-``depth`` endpoint numerator: each level adds one base-b digit."""
+        return depth * (self.base - 1).bit_length()
+
 
 @dataclass(frozen=True)
 class Address:
@@ -209,8 +213,10 @@ class StageSet:
 
     def check_cap(self, cap: int) -> None:
         """Raise CapacityError when enumerating this stage would exceed ``cap``."""
-        count = self.interval_count
-        check_work(count, cap, f"stage {self.depth} of '{self.spec.label}' has {count} intervals")
+        check_work(
+            self.interval_count, cap, "stage {depth} of '{label}' has {amount} intervals",
+            depth=self.depth, label=self.spec.label,
+        )
 
     def materialize(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Interval]:
         self.check_cap(cap)
@@ -261,9 +267,10 @@ def build_stage(spec: GridSpec, depth: int) -> StageSet:
             f"spec '{spec.label}' has digits for {spec.max_depth} levels, "
             f"stage {depth} requested"
         )
-    # each level adds the bits of one base-b digit to the endpoints
-    bits = depth * (spec.base - 1).bit_length()
-    check_work(bits, MAX_STAGE_BITS, f"stage {depth} of '{spec.label}' has {bits}-bit endpoints")
+    check_work(
+        spec.endpoint_bits(depth), MAX_STAGE_BITS, "stage {depth} of '{label}' has endpoints of {amount} bits",
+        depth=depth, label=spec.label,
+    )
     return StageSet(spec=spec, depth=depth)
 
 

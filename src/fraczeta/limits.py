@@ -40,6 +40,13 @@ MAX_BINOMIAL_COUNT = 2**63 - 1
 
 DEFAULT_PRECISION_DIGITS = 50
 
+# Zero ordinates are digitized at no fewer digits than this; a run that
+# digitizes is raised to it.
+MIN_DIGITIZE_DPS = 40
+
+# A zero digit is boundary-flagged when |4t - nearest integer| is below this.
+DEFAULT_BOUNDARY_TOL = 1e-6
+
 # Working precision above this buys no certified zeta digit (the cap on N
 # stops near 265) and makes every mpmath operation slow.
 MAX_PRECISION_DIGITS = 1000
@@ -50,10 +57,26 @@ MAX_TEXT_EXPONENT = 1000
 _TEXT_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
 
 
-def check_work(amount, cap, what: str) -> None:
-    """Raise ``CapacityError`` when ``amount`` exceeds ``cap``; ``what`` describes the amount."""
+def check_work(amount, cap, what: str, **values) -> None:
+    """Raise ``CapacityError`` when ``amount`` exceeds ``cap``.
+
+    ``what`` describes the amount as a ``str.format`` template over
+    ``amount`` and ``values``.  It is filled in only when the check fails,
+    with each integer shown by :func:`int_text`.
+    """
     if amount > cap:
-        raise CapacityError(f"{what}, above the cap {cap}")
+        shown = {k: int_text(v) if type(v) is int else v for k, v in {**values, "amount": amount}.items()}
+        raise CapacityError(f"{what.format(**shown)}, above the cap {int_text(cap)}")
+
+
+def int_text(n: int) -> str:
+    """``n`` in decimal, or its digit count when it has more digits than Python prints."""
+    try:
+        return str(n)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        # 2**(bits - 1) <= |n| < 2**bits, so n has d or d + 1 digits
+        d = int((abs(n).bit_length() - 1) * 0.3010299956639812) + 1
+        return f"a {d + (abs(n) >= 10**d)}-digit number"
 
 
 def check_text_exponent(text: str) -> None:

@@ -97,7 +97,10 @@ def _single_trial(config: RetentionConfig, index: int) -> TrialOutcome:
     counts = [1]
     n = 1
     for level in range(config.depth):
-        check_work(n, MAX_BINOMIAL_COUNT, f"trial {index} has {n} survivors at level {level}")
+        check_work(
+            n, MAX_BINOMIAL_COUNT, "trial {index} has {amount} survivors at level {level}",
+            index=index, level=level,
+        )
         n = int(rng.binomial(n, p1)) + int(rng.binomial(n, p3))
         counts.append(n)
     extinct = counts[-1] == 0
@@ -116,9 +119,9 @@ def run_trials(config: RetentionConfig) -> TrialRun:
     Raises ``CapacityError`` when ``trials * depth`` exceeds ``MAX_TRIAL_LEVELS``,
     or when a trial's survivor count outgrows ``MAX_BINOMIAL_COUNT``.
     """
-    levels = config.trials * config.depth
     check_work(
-        levels, MAX_TRIAL_LEVELS, f"{config.trials} trials of depth {config.depth} are {levels} levels"
+        config.trials * config.depth, MAX_TRIAL_LEVELS, "{trials} trials of depth {depth} are {amount} levels",
+        trials=config.trials, depth=config.depth,
     )
     import numpy as np
 

@@ -21,11 +21,9 @@ from pathlib import Path
 import mpmath as mp
 
 from .errors import InputError, ParseError
-from .limits import check_text_exponent
+from .limits import DEFAULT_BOUNDARY_TOL, MIN_DIGITIZE_DPS, check_text_exponent
 
 DEFAULT_DIGITIZE_DPS = 50
-MIN_DIGITIZE_DPS = 40
-DEFAULT_BOUNDARY_TOL = 1e-6
 
 CHI2_CRITICAL_05_DF3 = 7.8147
 

@@ -126,12 +126,12 @@ def _auto_terms(s_mp: mp.mpf, correction_K: int, rising: mp.mpf, precision_digit
     c = abs(_bernoulli_coeff(k, mp.mp.prec) * rising)
     log_n = float(mp.log(c / target)) / float(s_mp + 2 * k - 1)
     estimate = mp.exp(log_n)  # an mpf: past the cap math.exp can overflow
-    what = f"zeta at {precision_digits} digits needs N ="
-    check_work(estimate, MAX_ZETA_TERMS, f"{what} {mp.nstr(estimate, 3)} terms")
+    what = "zeta at {digits} digits needs N = {n} terms"
+    check_work(estimate, MAX_ZETA_TERMS, what, digits=precision_digits, n=mp.nstr(estimate, 3))
     n = max(2, math.floor(math.exp(log_n)))
     while abs(_correction_term(s_mp, mp.mpf(n), k, rising)) >= target:
         n += 1
-    check_work(n, MAX_ZETA_TERMS, f"{what} {n} terms")
+    check_work(n, MAX_ZETA_TERMS, what, digits=precision_digits, n=n)
     return n
 
 
@@ -165,14 +165,14 @@ def zeta_euler_maclaurin(
     if terms_N is not None:
         if terms_N < 2:
             raise InputError(f"terms_N must be >= 2, got {terms_N}")
-        check_work(terms_N, MAX_ZETA_TERMS, f"terms_N = {terms_N}")
+        check_work(terms_N, MAX_ZETA_TERMS, "terms_N = {amount}")
     if not (1 <= correction_K <= MAX_CORRECTION_K):
         raise InputError(
             f"correction_K must be in 1..{MAX_CORRECTION_K}, got {correction_K}"
         )
     if precision_digits < 20:
         raise InputError(f"precision_digits must be >= 20, got {precision_digits}")
-    check_work(precision_digits, MAX_PRECISION_DIGITS, f"precision of {precision_digits} digits")
+    check_work(precision_digits, MAX_PRECISION_DIGITS, "precision of {amount} digits")
 
     with mp.workdps(precision_digits + _GUARD):
         s_mp = _frac_to_mpf(s_exact)

@@ -452,6 +452,18 @@ EXIT_CASES = [
     # stage endpoints past MAX_STAGE_BITS are refused before the stage is counted
     (["construct", "pess", "--depth", "100000"], {}, CapacityError.exit_code),
     (["dimension", "pess", "--method", "boxcount", "--depth", str(10**30)], {}, CapacityError.exit_code),
+    # trials x depth has more digits than Python prints: the cap message gives its digit count
+    pytest.param(
+        ["perturb", "--p", "0.5", "--depth", str(10**2200), "--trials", str(10**2200), "--seed", "1"],
+        {}, CapacityError.exit_code, id="perturb --p 0.5 --depth 10**2200 --trials 10**2200 --seed 1",
+    ),
+    # box counting is weighted by the machine words of a 100-bit-per-level endpoint:
+    # 65536 intervals x 8 scales x 13 words exceed the cap
+    (["dimension", "--modq", str(10**30), "--keep", "1,3,5,7", "--method", "boxcount", "--depth", "8"], {},
+     CapacityError.exit_code),
+    # the endpoint bits of the largest depth argparse reads have more digits than Python prints
+    pytest.param(["construct", "pess", "--depth", "9" * 4300], {}, CapacityError.exit_code,
+                 id="construct pess --depth 9...9 (4300 digits)"),
 ]
 
 # an error exit is reached within this many seconds
@@ -514,6 +526,44 @@ def test_cli_import_leaves_numpy_unloaded():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True,
     )
     assert res.stdout.strip() == "False"
+
+
+# Runs one command in a fresh process and prints its exit code and every module it loaded.
+_FOOTPRINT_PROBE = (
+    "import contextlib, io, sys\n"
+    "from fraczeta.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(code, *sys.modules)\n"
+)
+_ANALYTIC = {"mpmath", "fraczeta.zeta", "fraczeta.zeros", "fraczeta.cardinality"}
+
+
+@pytest.mark.parametrize(
+    "argv,unloaded",
+    [
+        (["construct", "pess", "--depth", "3"], _ANALYTIC),
+        (["dimension", "pess", "--method", "similarity"], _ANALYTIC),
+        (["dimension", "cantor13", "--method", "boxcount", "--depth", "6"], _ANALYTIC),
+        (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", "0,1,2"], _ANALYTIC),
+        (["perturb", "--p", "0.75", "--depth", "6", "--trials", "5", "--seed", "7"], _ANALYTIC),
+        (
+            ["zeros", "reorder", "--file", "ZEROS", "--mode", "random", "--seed", "11"],
+            {"fraczeta.cardinality", "fraczeta.zeta", "fraczeta.dimension", "fraczeta.montecarlo"},
+        ),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_command_imports_only_what_it_runs(zeros_path, argv, unloaded):
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = [str(zeros_path) if a == "ZEROS" else a for a in argv]
+    res = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_PROBE, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+    )
+    code, *loaded = res.stdout.split()
+    assert code == "0", res.stderr
+    assert unloaded.isdisjoint(loaded)
 
 
 class TestParseList:

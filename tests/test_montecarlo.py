@@ -129,6 +129,9 @@ class TestRunTrials:
         assert len(run_trials(RetentionConfig.uniform(0.75, 12, 5, seed=1)).outcomes) == 5
         with pytest.raises(CapacityError, match="61 levels"):
             run_trials(RetentionConfig.uniform(0.75, 1, 61, seed=1))
+        # a product with more digits than Python prints is shown as its digit count
+        with pytest.raises(CapacityError, match="are a 4401-digit number levels"):
+            run_trials(RetentionConfig.uniform(0.5, 10**2200, 10**2200, seed=1))
 
     def test_survivor_counts_are_capped_at_the_binomial_limit(self):
         # full retention doubles every level: 2^63 survivors after level 63
