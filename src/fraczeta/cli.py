@@ -187,7 +187,9 @@ def cmd_construct(args, digits: int) -> None:
 
 
 def cmd_dimension(args, digits: int) -> None:
-    from .dimension import box_dimension_fit, similarity_dimension, write_fit_points_csv
+    from .dimension import (
+        aligned_level, box_dimension_fit, fit_scales, similarity_dimension, write_fit_points_csv,
+    )
 
     spec = _spec_from_args(args, digits)
     manifest = _manifest(args, digits, label=spec.label)
@@ -205,16 +207,20 @@ def cmd_dimension(args, digits: int) -> None:
             scales = _parse_list(args.scales, "--scales", fraction_from_text)
         else:
             scales = [Fraction(1, spec.base**k) for k in range(1, args.depth + 1)]
-        # each distinct scale enumerates the whole stage once, and each
-        # interval costs arithmetic on its endpoints' machine words
-        distinct = len(set(scales))
-        words = spec.endpoint_bits(args.depth) // 64 + 1
+        scales, _ = fit_scales(scales)
+        # an aligned scale is counted in closed form; each other scale
+        # enumerates the whole stage once, and each interval costs arithmetic
+        # on its endpoints' and the scale's machine words
+        enumerated = [eps for eps in scales if aligned_level(eps, spec.base) is None]
+        scale_bits = max((max(eps.numerator.bit_length(), eps.denominator.bit_length())
+                          for eps in enumerated), default=0)
+        words = (spec.endpoint_bits(args.depth) + scale_bits) // 64 + 1
         check_work(
-            stage.interval_count * distinct * words,
+            stage.interval_count * len(enumerated) * words,
             DEFAULT_ENUMERATION_CAP,
-            "box counting {intervals} intervals of {words}-word endpoints at {scales} scales "
-            "costs {amount} interval-words",
-            intervals=stage.interval_count, words=words, scales=distinct,
+            "box counting {intervals} intervals at {scales} non-aligned scales, with "
+            "{words}-word endpoints and scales, costs {amount} interval-words",
+            intervals=stage.interval_count, words=words, scales=len(enumerated),
         )
         est = box_dimension_fit(stage, scales)
         if args.points_csv:

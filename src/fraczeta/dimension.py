@@ -93,19 +93,40 @@ def similarity_dimension(ratios: Sequence) -> DimensionEstimate:
     )
 
 
+def aligned_level(eps: Fraction, base: int) -> int | None:
+    """The k >= 0 with ``eps == base**-k``, or None when eps is not such a power.
+
+    log(q)/log(b) is within rounding of the integer k when q = b**k, so one
+    rounded estimate and one power confirm it, at any size of q.
+    """
+    if eps.numerator != 1:
+        return None
+    q = eps.denominator
+    k = round(math.log(q) / math.log(base))
+    return k if base**k == q else None
+
+
 def box_count(stage: StageSet, epsilon) -> int:
     """Number of grid boxes [j*eps, (j+1)*eps) overlapping the stage's union.
 
     A box counts when its overlap with some stage interval has positive
     length; touching at a single endpoint is not enough, so exactly
-    aligned scales reproduce the ancestor-cell counts.  Box indices are
-    exact: with eps = p/q, integer floor division of each endpoint's
-    numerator times q by its denominator times p.  Boxes shared by
-    neighbouring intervals are counted once.
+    aligned scales reproduce the ancestor-cell counts.  An aligned scale
+    eps = b**-k is counted in closed form: the product of the first k
+    retained-set sizes for k <= depth, else ``interval_count * b**(k - depth)``.
+    Any other scale p/q indexes boxes exactly, by integer floor division of
+    each endpoint's numerator times q by its denominator times p.  Boxes
+    shared by neighbouring intervals are counted once.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
         raise InputError(f"epsilon must be positive, got {eps}")
+    k = aligned_level(eps, stage.spec.base)
+    if k is not None:
+        if k > stage.depth:
+            return stage.interval_count * stage.spec.base ** (k - stage.depth)
+        # one box per stage-k ancestor cell
+        return StageSet(spec=stage.spec, depth=k).interval_count
     p, q = eps.numerator, eps.denominator
     count = 0
     last = -1
@@ -130,15 +151,33 @@ def _log_inv(eps: Fraction) -> float:
         raise InputError("every scale must keep 1/eps within the double range") from exc
 
 
-def box_dimension_fit(stage: StageSet, scales: Sequence) -> DimensionEstimate:
-    """OLS slope of log N(eps) against log(1/eps) over the given scales."""
+def fit_scales(scales: Sequence) -> tuple[list[Fraction], list[float]]:
+    """The distinct scales of a box-dimension fit, largest first, and their log(1/eps).
+
+    The fit needs at least 3 positive scales, each with log(1/eps) in
+    double precision, and those logs must not all be equal.  This is checked
+    before any box is counted.
+    """
     eps_list = sorted({Fraction(e) for e in scales}, reverse=True)
     if len(eps_list) < 3:
         raise InputError(
             f"need at least 3 distinct scales, got {len(eps_list)}"
         )
+    if eps_list[-1] <= 0:
+        raise InputError(f"epsilon must be positive, got {eps_list[-1]}")
+    xs = [_log_inv(eps) for eps in eps_list]
+    if xs[0] == xs[-1]:
+        raise InputError(
+            f"the {len(eps_list)} scales share one log(1/eps) in double precision; "
+            "the fit needs two that differ"
+        )
+    return eps_list, xs
+
+
+def box_dimension_fit(stage: StageSet, scales: Sequence) -> DimensionEstimate:
+    """OLS slope of log N(eps) against log(1/eps) over the given scales."""
+    eps_list, xs = fit_scales(scales)
     points = [(eps, box_count(stage, eps)) for eps in eps_list]
-    xs = [_log_inv(eps) for eps, _ in points]
     ys = [math.log(n) for _, n in points]
     fit = statistics.linear_regression(xs, ys)
     try:

@@ -129,6 +129,14 @@ class TestDimension:
         assert payload["result"]["r_squared"] > 0.999
         assert len(payload["result"]["sample_points"]) == 10
 
+    def test_boxcount_pess_depth_30_answers_at_aligned_scales_in_under_a_second(self, capsys):
+        start = time.perf_counter()
+        payload = run_json(capsys, ["dimension", "pess", "--method", "boxcount", "--depth", "30"])
+        assert time.perf_counter() - start < 1.0
+        points = payload["result"]["sample_points"]
+        assert [p["count"] for p in points] == [2**k for k in range(1, 31)]
+        assert payload["result"]["value"] == pytest.approx(0.5, abs=1e-12)
+
     def test_boxcount_points_csv(self, capsys, tmp_path):
         points = tmp_path / "points.csv"
         run_json(
@@ -434,12 +442,11 @@ EXIT_CASES = [
     # survivor counts that outgrow numpy's int64 binomial draw
     (["perturb", "--p", "1", "--depth", "70", "--trials", "1", "--seed", "1"], {}, CapacityError.exit_code),
     (["perturb", "--p", "0.75", "--depth", "1000000", "--trials", "1", "--seed", "1"], {}, CapacityError.exit_code),
-    # 2^30 intervals per scale: the stage is capped before any box is counted
-    (["dimension", "pess", "--method", "boxcount", "--depth", "30"], {}, CapacityError.exit_code),
-    # intervals x distinct scales is checked against the 2^20 cap before any box is
-    # counted: 2^20 x 20 and 2^17 x 17 exceed it (depth 16, 2^16 x 16, does not)
-    (["dimension", "pess", "--method", "boxcount", "--depth", "20"], {}, CapacityError.exit_code),
-    (["dimension", "pess", "--method", "boxcount", "--depth", "17"], {}, CapacityError.exit_code),
+    # the default scales are aligned and counted in closed form: no stage interval is
+    # enumerated, so 2^30, 2^20 and 2^17 intervals are no work for the cap
+    (["dimension", "pess", "--method", "boxcount", "--depth", "30"], {}, 0),
+    (["dimension", "pess", "--method", "boxcount", "--depth", "20"], {}, 0),
+    (["dimension", "pess", "--method", "boxcount", "--depth", "17"], {}, 0),
     # an output that cannot be written is an input error naming its flag
     (["construct", "pess", "--depth", "2", "--out", "NO_DIR/x.json"], {}, InputError.exit_code),
     (["construct", "pess", "--depth", "2", "--out", "DIR"], {}, InputError.exit_code),
@@ -457,13 +464,34 @@ EXIT_CASES = [
         ["perturb", "--p", "0.5", "--depth", str(10**2200), "--trials", str(10**2200), "--seed", "1"],
         {}, CapacityError.exit_code, id="perturb --p 0.5 --depth 10**2200 --trials 10**2200 --seed 1",
     ),
-    # box counting is weighted by the machine words of a 100-bit-per-level endpoint:
-    # 65536 intervals x 8 scales x 13 words exceed the cap
-    (["dimension", "--modq", str(10**30), "--keep", "1,3,5,7", "--method", "boxcount", "--depth", "8"], {},
-     CapacityError.exit_code),
+    # 100-bit-per-level endpoints, but the 8 default scales are aligned: nothing is enumerated
+    (["dimension", "--modq", str(10**30), "--keep", "1,3,5,7", "--method", "boxcount", "--depth", "8"], {}, 0),
     # the endpoint bits of the largest depth argparse reads have more digits than Python prints
     pytest.param(["construct", "pess", "--depth", "9" * 4300], {}, CapacityError.exit_code,
                  id="construct pess --depth 9...9 (4300 digits)"),
+    # distinct scales whose log(1/eps) doubles coincide are refused before any box is counted
+    (["dimension", "pess", "--method", "boxcount", "--depth", "3", "--scales",
+      "1/1000000000000000001,1/1000000000000000002,1/1000000000000000003"], {}, InputError.exit_code),
+    # the work check weighs the scale's words too: 2^16 intervals x 16 scales x 69 words
+    pytest.param(
+        ["dimension", "pess", "--method", "boxcount", "--depth", "16", "--scales",
+         ",".join(f"{10**1000 + 1}/{10**(1290 + k)}" for k in range(16))],
+        {}, CapacityError.exit_code,
+        id="dimension pess --method boxcount --depth 16 --scales (10**1000+1)/10**(1290+k) for k < 16",
+    ),
+    # non-aligned scales enumerate the stage, so the cap still refuses the deep ones:
+    # 2^20 x 3 x 1 and 2^16 x 3 x 13 interval-words
+    (["dimension", "pess", "--method", "boxcount", "--depth", "20", "--scales", "1/3,1/5,1/7"], {},
+     CapacityError.exit_code),
+    (["dimension", "--modq", str(10**30), "--keep", "1,3,5,7", "--method", "boxcount", "--depth", "8",
+      "--scales", "1/3,1/5,1/7"], {}, CapacityError.exit_code),
+    # a scale outside the double range is refused before the work check and any count
+    pytest.param(
+        ["dimension", "pess", "--method", "boxcount", "--depth", "16", "--scales",
+         ",".join(f"1/{10**999 + k}" for k in range(16))],
+        {}, InputError.exit_code,
+        id="dimension pess --method boxcount --depth 16 --scales 1/(10**999+k) for k < 16",
+    ),
 ]
 
 # an error exit is reached within this many seconds

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraczeta import dimension
 from fraczeta.dimension import (
+    aligned_level,
     box_count,
     box_dimension_fit,
     multifractal_spectrum,
@@ -20,6 +22,7 @@ from fraczeta.grids import (
     GeneralIfsSpec,
     GridSpec,
     IfsMap,
+    StageSet,
     build_stage,
     ifs_of_grid,
     make_named_spec,
@@ -176,6 +179,34 @@ class TestBoxCount:
         with pytest.raises(InputError):
             box_count(stage, F(-1, 4))
 
+    @pytest.mark.parametrize(
+        "eps,aligned",
+        [(F(1, 4**7), True), (F(1), True), (F(1, 4**900), True), (F(1, 2 * 4**7), False),
+         (F(2, 4**7), False), (F(1, 4**900 + 1), False), (F(3, 7), False)],
+    )
+    def test_closed_form_pulls_no_interval(self, monkeypatch, eps, aligned):
+        stage = build_stage(make_pess_spec(), 6)
+        pulled = 0
+        intervals = StageSet.intervals
+
+        def counted(self):
+            nonlocal pulled
+            for interval in intervals(self):
+                pulled += 1
+                yield interval
+
+        monkeypatch.setattr(StageSet, "intervals", counted)
+        box_count(stage, eps)
+        assert pulled == (0 if aligned else stage.interval_count)
+
+    @pytest.mark.parametrize("base", [2, 3, 4, 7, 10, 10**30])
+    def test_aligned_level_finds_every_power(self, base):
+        for k in range(0, 400, 7):
+            assert aligned_level(F(1, base**k), base) == k
+            assert aligned_level(F(1, base**k * (base + 1)), base) is None
+            assert aligned_level(F(1, base ** (k + 2) - 1), base) is None
+            assert aligned_level(F(base + 1, base**k), base) is None
+
 
 class TestBoxFit:
     def test_pess_depth12_exact_slope(self):
@@ -210,6 +241,30 @@ class TestBoxFit:
             box_dimension_fit(stage, [F(1, 4), F(1, 16)])
         with pytest.raises(InputError):
             box_dimension_fit(stage, [F(1, 4), F(1, 4), F(1, 16)])
+
+    @pytest.mark.parametrize(
+        "scales",
+        [
+            [F(1, 4), F(1, 16), F(1, 10**999)],
+            [F(1, 4), F(1, 16), F(10**400)],
+            [F(1, 10**18 + 1), F(1, 10**18 + 2), F(1, 10**18 + 3)],
+            [F(0), F(1, 4), F(1, 16)],
+            [F(-1, 2), F(1, 4), F(1, 16)],
+        ],
+        ids=["1/eps overflows", "1/eps underflows", "equal log(1/eps)", "zero", "negative"],
+    )
+    def test_scales_are_checked_before_any_box_is_counted(self, monkeypatch, scales):
+        calls = 0
+
+        def spy(stage, eps):
+            nonlocal calls
+            calls += 1
+            return box_count(stage, eps)
+
+        monkeypatch.setattr(dimension, "box_count", spy)
+        with pytest.raises(InputError):
+            box_dimension_fit(build_stage(make_pess_spec(), 3), scales)
+        assert calls == 0
 
 
 def weighted_pess_ifs():
