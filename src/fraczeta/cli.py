@@ -186,10 +186,19 @@ def cmd_construct(args, digits: int) -> None:
         _write_text(buf.getvalue(), args.out)
 
 
+def _deepest_default_depth(base: int) -> int:
+    """The largest k for which 1/eps = base**k converts to a finite double."""
+    k = math.ceil(1024 / math.log2(base))  # base**k >= 2**1024, up to the rounding of log2
+    while True:
+        try:
+            float(base**k)
+            return k
+        except OverflowError:
+            k -= 1
+
+
 def cmd_dimension(args, digits: int) -> None:
-    from .dimension import (
-        aligned_level, box_dimension_fit, fit_scales, similarity_dimension, write_fit_points_csv,
-    )
+    from .dimension import box_dimension_fit, similarity_dimension, write_fit_points_csv
 
     spec = _spec_from_args(args, digits)
     manifest = _manifest(args, digits, label=spec.label)
@@ -204,25 +213,16 @@ def cmd_dimension(args, digits: int) -> None:
     else:
         stage = build_stage(spec, args.depth)
         if args.scales:
-            scales = _parse_list(args.scales, "--scales", fraction_from_text)
+            est = box_dimension_fit(stage, _parse_list(args.scales, "--scales", fraction_from_text))
         else:
-            scales = [Fraction(1, spec.base**k) for k in range(1, args.depth + 1)]
-        scales, _ = fit_scales(scales)
-        # an aligned scale is counted in closed form; each other scale
-        # enumerates the whole stage once, and each interval costs arithmetic
-        # on its endpoints' and the scale's machine words
-        enumerated = [eps for eps in scales if aligned_level(eps, spec.base) is None]
-        scale_bits = max((max(eps.numerator.bit_length(), eps.denominator.bit_length())
-                          for eps in enumerated), default=0)
-        words = (spec.endpoint_bits(args.depth) + scale_bits) // 64 + 1
-        check_work(
-            stage.interval_count * len(enumerated) * words,
-            DEFAULT_ENUMERATION_CAP,
-            "box counting {intervals} intervals at {scales} non-aligned scales, with "
-            "{words}-word endpoints and scales, costs {amount} interval-words",
-            intervals=stage.interval_count, words=words, scales=len(enumerated),
-        )
-        est = box_dimension_fit(stage, scales)
+            b = spec.base
+            try:
+                est = box_dimension_fit(stage, [Fraction(1, b**k) for k in range(1, args.depth + 1)])
+            except InputError as exc:
+                raise InputError(
+                    f"{exc}; without --scales the fit uses {b}^-1..{b}^-depth, "
+                    f"which needs 3 <= --depth <= {_deepest_default_depth(b)}"
+                ) from exc
         if args.points_csv:
             buf = io.StringIO()
             write_fit_points_csv(est, buf, comments=[_manifest_comment(manifest)])
@@ -264,13 +264,12 @@ def _load_table(args):
     from .zeros import parse_zero_file, reorder, reorder_external_weights
 
     table = parse_zero_file(args.file)
-    if getattr(args, "mode", None):
-        if args.mode == "external":
-            if not args.weights:
-                raise InputError("--mode external requires --weights FILE")
-            table = reorder_external_weights(table, args.weights)
-        elif args.mode != "as-is":
-            table = reorder(table, args.mode, args.seed)
+    if args.mode == "external":
+        if not args.weights:
+            raise InputError("--mode external requires --weights FILE")
+        table = reorder_external_weights(table, args.weights)
+    elif args.mode != "as-is":
+        table = reorder(table, args.mode, args.seed)
     return table
 
 
@@ -507,7 +506,7 @@ def _parse_q_grid(args) -> list[float]:
     if max(abs(start), abs(stop)) > sys.float_info.max:
         raise InputError("--q-range bounds must lie within the double range")
     count = (stop - start) // step + 1
-    check_work(count, MAX_Q_POINTS, f"--q-range has {count} points")
+    check_work(count, MAX_Q_POINTS, "--q-range has {amount} points")
     return [float(start + i * step) for i in range(count)]
 
 
@@ -642,7 +641,7 @@ def _precision(args) -> int:
             digits = int(raw)
         except ValueError as exc:
             raise InputError(f"FRACZETA_PRECISION must be an integer, got {raw!r}") from exc
-    check_work(digits, MAX_PRECISION_DIGITS, f"precision of {digits} digits")
+    check_work(digits, MAX_PRECISION_DIGITS, "precision of {amount} digits")
     if args.func in (cmd_zeros_digitize, cmd_zeros_stats) or getattr(args, "zeros", None):
         return max(digits, MIN_DIGITIZE_DPS)
     return digits

@@ -19,6 +19,7 @@ from typing import Sequence
 
 from .errors import DomainError, InputError
 from .grids import GeneralIfsSpec, StageSet
+from .limits import DEFAULT_ENUMERATION_CAP, check_work, int_text
 
 BISECTION_TOL = 1e-12
 
@@ -117,6 +118,10 @@ def box_count(stage: StageSet, epsilon) -> int:
     Any other scale p/q indexes boxes exactly, by integer floor division of
     each endpoint's numerator times q by its denominator times p.  Boxes
     shared by neighbouring intervals are counted once.
+
+    A lone call is not capped: a non-aligned scale enumerates the whole
+    stage however large it is.  :func:`box_dimension_fit` checks its work
+    against ``limits.DEFAULT_ENUMERATION_CAP`` before it counts.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
@@ -143,40 +148,50 @@ def box_count(stage: StageSet, epsilon) -> int:
     return count
 
 
-def _log_inv(eps: Fraction) -> float:
-    """log(1/eps) in double precision, for eps > 0."""
+def _log_inv(eps: Fraction, base: int | None = None) -> float:
+    """log(1/eps) in double precision, for eps > 0; an error names eps as a power of base when it is one."""
     try:
         return math.log(float(1 / eps))
     except (OverflowError, ValueError) as exc:  # 1/eps overflows or underflows a double
-        raise InputError("every scale must keep 1/eps within the double range") from exc
+        k = aligned_level(eps, base) if base else None
+        shown = f"{base}^-{k}" if k is not None else f"{int_text(eps.numerator)}/{int_text(eps.denominator)}"
+        raise InputError(f"scale {shown} leaves the double range: every scale must keep 1/eps within it") from exc
 
 
-def fit_scales(scales: Sequence) -> tuple[list[Fraction], list[float]]:
-    """The distinct scales of a box-dimension fit, largest first, and their log(1/eps).
+def box_dimension_fit(stage: StageSet, scales: Sequence) -> DimensionEstimate:
+    """OLS slope of log N(eps) against log(1/eps) over the distinct scales, largest first.
 
-    The fit needs at least 3 positive scales, each with log(1/eps) in
-    double precision, and those logs must not all be equal.  This is checked
-    before any box is counted.
+    Before any box is counted, the fit checks that it has at least 3
+    positive scales, each with log(1/eps) in double precision, whose logs
+    are not all equal, and that counting at the scales that enumerate the
+    stage stays within ``limits.DEFAULT_ENUMERATION_CAP``.
     """
+    base = stage.spec.base
     eps_list = sorted({Fraction(e) for e in scales}, reverse=True)
     if len(eps_list) < 3:
-        raise InputError(
-            f"need at least 3 distinct scales, got {len(eps_list)}"
-        )
+        raise InputError(f"need at least 3 distinct scales, got {len(eps_list)}")
     if eps_list[-1] <= 0:
         raise InputError(f"epsilon must be positive, got {eps_list[-1]}")
-    xs = [_log_inv(eps) for eps in eps_list]
+    xs = [_log_inv(eps, base) for eps in eps_list]
     if xs[0] == xs[-1]:
         raise InputError(
             f"the {len(eps_list)} scales share one log(1/eps) in double precision; "
             "the fit needs two that differ"
         )
-    return eps_list, xs
-
-
-def box_dimension_fit(stage: StageSet, scales: Sequence) -> DimensionEstimate:
-    """OLS slope of log N(eps) against log(1/eps) over the given scales."""
-    eps_list, xs = fit_scales(scales)
+    # an aligned scale is counted in closed form; each other scale
+    # enumerates the whole stage once, and each interval costs arithmetic
+    # on its endpoints' and the scale's machine words
+    enumerated = [eps for eps in eps_list if aligned_level(eps, base) is None]
+    scale_bits = max((max(eps.numerator.bit_length(), eps.denominator.bit_length())
+                      for eps in enumerated), default=0)
+    words = (stage.spec.endpoint_bits(stage.depth) + scale_bits) // 64 + 1
+    check_work(
+        stage.interval_count * len(enumerated) * words,
+        DEFAULT_ENUMERATION_CAP,
+        "box counting {intervals} intervals at {scales} non-aligned scales, with "
+        "{words}-word endpoints and scales, costs {amount} interval-words",
+        intervals=stage.interval_count, words=words, scales=len(enumerated),
+    )
     points = [(eps, box_count(stage, eps)) for eps in eps_list]
     ys = [math.log(n) for _, n in points]
     fit = statistics.linear_regression(xs, ys)

@@ -21,9 +21,7 @@ from pathlib import Path
 import mpmath as mp
 
 from .errors import InputError, ParseError
-from .limits import DEFAULT_BOUNDARY_TOL, MIN_DIGITIZE_DPS, check_text_exponent
-
-DEFAULT_DIGITIZE_DPS = 50
+from .limits import DEFAULT_BOUNDARY_TOL, DEFAULT_PRECISION_DIGITS, MIN_DIGITIZE_DPS, check_text_exponent
 
 CHI2_CRITICAL_05_DF3 = 7.8147
 
@@ -138,7 +136,7 @@ def parse_zero_file(path) -> ZeroTable:
 
 def digitize(
     table: ZeroTable,
-    precision_digits: int = DEFAULT_DIGITIZE_DPS,
+    precision_digits: int = DEFAULT_PRECISION_DIGITS,
     boundary_tol: float = DEFAULT_BOUNDARY_TOL,
 ) -> DigitSequence:
     """Base-4 digits a_n = floor(4 * frac(gamma_n / 2pi)) at a stated precision.

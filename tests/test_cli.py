@@ -492,6 +492,10 @@ EXIT_CASES = [
         {}, InputError.exit_code,
         id="dimension pess --method boxcount --depth 16 --scales 1/(10**999+k) for k < 16",
     ),
+    # the default scales b^-1..b^-depth leave the double range past depth 511 (b = 4) and 1023 (b = 2)
+    (["dimension", "pess", "--method", "boxcount", "--depth", "600"], {}, InputError.exit_code),
+    (["dimension", "--modq", "2", "--keep", "1", "--method", "boxcount", "--depth", "1030"], {},
+     InputError.exit_code),
 ]
 
 # an error exit is reached within this many seconds
@@ -525,6 +529,31 @@ def test_exit_codes(capsys, monkeypatch, tmp_path, zeros_path, argv, env, code):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert elapsed < ERROR_BUDGET_S
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["dimension", "pess", "--method", "boxcount", "--depth", "600"],
+         "error: scale 4^-512 leaves the double range: every scale must keep 1/eps within it; "
+         "without --scales the fit uses 4^-1..4^-depth, which needs 3 <= --depth <= 511\n"),
+        (["dimension", "--modq", "2", "--keep", "1", "--method", "boxcount", "--depth", "1030"],
+         "error: scale 2^-1024 leaves the double range: every scale must keep 1/eps within it; "
+         "without --scales the fit uses 2^-1..2^-depth, which needs 3 <= --depth <= 1023\n"),
+        (["dimension", "pess", "--method", "boxcount", "--depth", "2"],
+         "error: need at least 3 distinct scales, got 2; "
+         "without --scales the fit uses 4^-1..4^-depth, which needs 3 <= --depth <= 511\n"),
+        # given scales get no note about the defaults
+        (["dimension", "pess", "--method", "boxcount", "--depth", "3", "--scales", "1/4,1/16,1e-400"],
+         "error: scale 1/10" + "0" * 399 + " leaves the double range: every scale must keep 1/eps within it\n"),
+        (["dimension", "pess", "--method", "boxcount", "--depth", "3", "--scales", "1/4,1/16"],
+         "error: need at least 3 distinct scales, got 2\n"),
+    ],
+    ids=["pess depth 600", "modq 2 depth 1030", "pess depth 2", "scales 1e-400", "two scales"],
+)
+def test_boxcount_scale_errors_name_the_scale_and_the_default_depths(capsys, argv, message):
+    assert main(argv) == InputError.exit_code
+    assert capsys.readouterr() == ("", message)
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from fraczeta.dimension import (
     multifractal_spectrum,
     similarity_dimension,
 )
-from fraczeta.errors import InputError
+from fraczeta.errors import CapacityError, InputError
 from fraczeta.grids import (
     GeneralIfsSpec,
     GridSpec,
@@ -243,28 +243,25 @@ class TestBoxFit:
             box_dimension_fit(stage, [F(1, 4), F(1, 4), F(1, 16)])
 
     @pytest.mark.parametrize(
-        "scales",
+        "depth,scales,error",
         [
-            [F(1, 4), F(1, 16), F(1, 10**999)],
-            [F(1, 4), F(1, 16), F(10**400)],
-            [F(1, 10**18 + 1), F(1, 10**18 + 2), F(1, 10**18 + 3)],
-            [F(0), F(1, 4), F(1, 16)],
-            [F(-1, 2), F(1, 4), F(1, 16)],
+            (3, [F(1, 4), F(1, 16), F(1, 10**999)], InputError),
+            (3, [F(1, 4), F(1, 16), F(10**400)], InputError),
+            (3, [F(1, 10**18 + 1), F(1, 10**18 + 2), F(1, 10**18 + 3)], InputError),
+            (3, [F(0), F(1, 4), F(1, 16)], InputError),
+            (3, [F(-1, 2), F(1, 4), F(1, 16)], InputError),
+            # 2^20 intervals x 3 non-aligned scales x 1 word
+            (20, [F(1, 3), F(1, 5), F(1, 7)], CapacityError),
         ],
-        ids=["1/eps overflows", "1/eps underflows", "equal log(1/eps)", "zero", "negative"],
+        ids=["1/eps overflows", "1/eps underflows", "equal log(1/eps)", "zero", "negative", "work over the cap"],
     )
-    def test_scales_are_checked_before_any_box_is_counted(self, monkeypatch, scales):
-        calls = 0
-
+    def test_scales_are_checked_before_any_box_is_counted(self, monkeypatch, depth, scales, error):
         def spy(stage, eps):
-            nonlocal calls
-            calls += 1
-            return box_count(stage, eps)
+            raise AssertionError(f"box_count called at {eps}")
 
         monkeypatch.setattr(dimension, "box_count", spy)
-        with pytest.raises(InputError):
-            box_dimension_fit(build_stage(make_pess_spec(), 3), scales)
-        assert calls == 0
+        with pytest.raises(error):
+            box_dimension_fit(build_stage(make_pess_spec(), depth), scales)
 
 
 def weighted_pess_ifs():

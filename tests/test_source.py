@@ -72,6 +72,35 @@ def test_only_limits_names_capacity_error(path):
     assert capacity_error_uses(path.read_text()) == expected
 
 
+def formatted_check_work_labels(source: str) -> list[int]:
+    """Lines where ``check_work`` is given an f-string as ``what``.
+
+    ``check_work`` fills ``what`` in with ``str.format``, so an f-string that
+    interpolates text holding a brace fails there instead of naming the cap.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "check_work":
+            what = [kw.value for kw in node.keywords if kw.arg == "what"] + node.args[2:3]
+            if any(isinstance(arg, ast.JoinedStr) for arg in what):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_label_check_finds_an_f_string():
+    source = (
+        'check_work(n, CAP, f"{n} items")\n'
+        'limits.check_work(n, CAP, what=f"{n} items")\n'
+        'check_work(n, CAP, "{amount} items", n=f"{n}")\n'
+    )
+    assert formatted_check_work_labels(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_check_work_labels_are_templates(path):
+    assert formatted_check_work_labels(path.read_text()) == []
+
+
 def test_zeros_and_limits_load_without_zeta():
     code = (
         "import sys\n"
