@@ -38,9 +38,9 @@ from .limits import (
     DEFAULT_BOUNDARY_TOL,
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_PRECISION_DIGITS,
-    MAX_PRECISION_DIGITS,
     MAX_Q_POINTS,
     MIN_DIGITIZE_DPS,
+    check_precision,
     check_work,
     fraction_from_text,
 )
@@ -539,27 +539,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fraczeta {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+    def add(group, command, func, help_text):
+        p = group.add_parser(command.split()[-1], help=help_text)
+        p.set_defaults(func=func, command=command)
         p.add_argument("--digits", type=int, default=None, help="working decimal precision")
         p.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
         return p
 
-    p = add("construct", cmd_construct, "export the exact intervals of a stage")
+    p = add(sub, "construct", cmd_construct, "export the exact intervals of a stage")
     _add_set_flags(p)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
 
-    p = add("dimension", cmd_dimension, "similarity or box-counting dimension")
+    p = add(sub, "dimension", cmd_dimension, "similarity or box-counting dimension")
     _add_set_flags(p)
     p.add_argument("--method", choices=["similarity", "boxcount"], default="similarity")
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--scales", help="comma-separated epsilon fractions for boxcount")
     p.add_argument("--points-csv", metavar="FILE", help="also write plot-ready regression points here")
 
-    p = add("zeta", cmd_zeta, "Euler-Maclaurin zeta value at a real argument")
+    p = add(sub, "zeta", cmd_zeta, "Euler-Maclaurin zeta value at a real argument")
     p.add_argument("--s", required=True, help="argument, e.g. 0.5 or 2/3")
     p.add_argument(
         "--terms", type=int,
@@ -574,10 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     zsub = zeros.add_subparsers(dest="zeros_command", required=True)
 
     def add_z(name, func, help_text):
-        p = zsub.add_parser(name, help=help_text)
-        p.set_defaults(func=func, command=f"zeros {name}")
+        p = add(zsub, f"zeros {name}", func, help_text)
         p.add_argument("--file", required=True)
-        p.add_argument("--digits", type=int, default=None)
         p.add_argument("--tol", type=float, default=DEFAULT_BOUNDARY_TOL)
         p.add_argument(
             "--mode",
@@ -587,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int)
         p.add_argument("--weights", metavar="FILE", help="sidecar (index, weight) file")
-        p.add_argument("--out", metavar="FILE")
         return p
 
     p = add_z("digitize", cmd_zeros_digitize, "emit (n, gamma, t, a, boundary) rows")
@@ -595,21 +592,21 @@ def build_parser() -> argparse.ArgumentParser:
     add_z("stats", cmd_zeros_stats, "digit-uniformity chi-square report")
     add_z("reorder", cmd_zeros_reorder, "write the reordered ordinate list")
 
-    p = add("compare", cmd_compare, "compare two catalog entries")
+    p = add(sub, "compare", cmd_compare, "compare two catalog entries")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--extended", action="store_true", help="componentwise dimension vectors")
 
-    p = add("catalog", cmd_catalog, "the built-in comparison table")
+    p = add(sub, "catalog", cmd_catalog, "the built-in comparison table")
     p.add_argument("--format", choices=["json", "table"], default="json")
 
-    p = add("conservation", cmd_conservation, "signed zeta(1/2) pair and its exact sum")
+    p = add(sub, "conservation", cmd_conservation, "signed zeta(1/2) pair and its exact sum")
     p.add_argument("--zeros", metavar="FILE", help="attach digit statistics from this file")
     p.add_argument("--format", choices=["json", "table"], default="json")
 
-    add("axioms", cmd_axioms, "assertable axiom checks")
+    add(sub, "axioms", cmd_axioms, "assertable axiom checks")
 
-    p = add("perturb", cmd_perturb, "probabilistic-retention Monte Carlo")
+    p = add(sub, "perturb", cmd_perturb, "probabilistic-retention Monte Carlo")
     p.add_argument("--p", type=float)
     p.add_argument("--bias", help="p1,p3 pair")
     p.add_argument("--depth", type=int, required=True)
@@ -618,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=int, default=4)
     p.add_argument("--per-trial", metavar="FILE", help="also write per-trial CSV here")
 
-    p = add("multifractal", cmd_multifractal, "tau/alpha/f spectrum of a weighted IFS")
+    p = add(sub, "multifractal", cmd_multifractal, "tau/alpha/f spectrum of a weighted IFS")
     p.add_argument("--ratios", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--q", help="comma-separated q values")
@@ -630,9 +627,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _precision(args) -> int:
     """The working precision of the run, as its manifest records it.
 
-    ``--digits``, else ``FRACZETA_PRECISION``, else the default, refused above
-    ``limits.MAX_PRECISION_DIGITS``; a run that digitizes zero ordinates is
-    raised to the digitizer's minimum.
+    ``--digits``, else ``FRACZETA_PRECISION``, else the default.  Every
+    command refuses it through ``limits.check_precision``, below the minimum
+    (exit 3) or above the cap (exit 4), whether or not the command uses it;
+    a run that digitizes zero ordinates is then raised to the digitizer's
+    minimum.
     """
     digits = args.digits
     if digits is None:
@@ -641,7 +640,7 @@ def _precision(args) -> int:
             digits = int(raw)
         except ValueError as exc:
             raise InputError(f"FRACZETA_PRECISION must be an integer, got {raw!r}") from exc
-    check_work(digits, MAX_PRECISION_DIGITS, "precision of {amount} digits")
+    check_precision(digits)
     if args.func in (cmd_zeros_digitize, cmd_zeros_stats) or getattr(args, "zeros", None):
         return max(digits, MIN_DIGITIZE_DPS)
     return digits

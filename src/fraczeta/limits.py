@@ -2,9 +2,10 @@
 
 Every command does a bounded amount of work.  Each bound is named here,
 once, and :func:`check_work` is the only code that refuses work above a
-cap (``CapacityError``, exit 4), before the work starts.  Bounds of the
-mathematical domain, such as the largest zeta argument, stay with the
-code whose domain they bound.
+cap (``CapacityError``, exit 4), before the work starts.  Every working
+precision, given on the command line or to a library function, passes
+:func:`check_precision`.  Bounds of the mathematical domain, such as the
+largest zeta argument, stay with the code whose domain they bound.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import CapacityError
+from .errors import CapacityError, InputError
 
 # Materializing more intervals than this requires an explicit opt-in.
 DEFAULT_ENUMERATION_CAP = 2**20
@@ -39,6 +40,10 @@ MAX_TRIAL_LEVELS = 1_000_000
 MAX_BINOMIAL_COUNT = 2**63 - 1
 
 DEFAULT_PRECISION_DIGITS = 50
+
+# Analytic values are carried at no fewer decimal digits than this, a few
+# more than the 17 a double holds.
+MIN_PRECISION_DIGITS = 20
 
 # Zero ordinates are digitized at no fewer digits than this; a run that
 # digitizes is raised to it.
@@ -69,14 +74,20 @@ def check_work(amount, cap, what: str, **values) -> None:
         raise CapacityError(f"{what.format(**shown)}, above the cap {int_text(cap)}")
 
 
+def check_precision(digits: int, floor: int = MIN_PRECISION_DIGITS) -> None:
+    """Refuse a working precision below ``floor`` (``InputError``) or above ``MAX_PRECISION_DIGITS``."""
+    if digits < floor:
+        raise InputError(f"precision_digits must be >= {floor}, got {int_text(digits)}")
+    check_work(digits, MAX_PRECISION_DIGITS, "precision of {amount} digits")
+
+
 def int_text(n: int) -> str:
-    """``n`` in decimal, or its digit count when it has more digits than Python prints."""
-    try:
+    """``n`` in decimal, or ``a N-digit number`` when it has more than 40 digits."""
+    if abs(n) < 10**40:
         return str(n)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        # 2**(bits - 1) <= |n| < 2**bits, so n has d or d + 1 digits
-        d = int((abs(n).bit_length() - 1) * 0.3010299956639812) + 1
-        return f"a {d + (abs(n) >= 10**d)}-digit number"
+    # 2**(bits - 1) <= |n| < 2**bits, so n has d or d + 1 digits
+    d = int((abs(n).bit_length() - 1) * 0.3010299956639812) + 1
+    return f"a {d + (abs(n) >= 10**d)}-digit number"
 
 
 def check_text_exponent(text: str) -> None:

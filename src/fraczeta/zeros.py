@@ -21,7 +21,7 @@ from pathlib import Path
 import mpmath as mp
 
 from .errors import InputError, ParseError
-from .limits import DEFAULT_BOUNDARY_TOL, DEFAULT_PRECISION_DIGITS, MIN_DIGITIZE_DPS, check_text_exponent
+from .limits import DEFAULT_BOUNDARY_TOL, DEFAULT_PRECISION_DIGITS, MIN_DIGITIZE_DPS, check_precision, check_text_exponent
 
 CHI2_CRITICAL_05_DF3 = 7.8147
 
@@ -144,10 +144,7 @@ def digitize(
     An entry is boundary-flagged when |4t - nearest integer| < boundary_tol;
     those digits are the ones an input truncated at fewer decimals could flip.
     """
-    if precision_digits < MIN_DIGITIZE_DPS:
-        raise InputError(
-            f"precision_digits must be >= {MIN_DIGITIZE_DPS}, got {precision_digits}"
-        )
+    check_precision(precision_digits, MIN_DIGITIZE_DPS)
     if not 0 < boundary_tol < math.inf:
         raise InputError(f"boundary_tol must be finite and positive, got {boundary_tol}")
     entries = []

@@ -32,8 +32,8 @@ import mpmath as mp
 from .errors import DomainError, InputError, PoleError
 from .limits import (
     DEFAULT_PRECISION_DIGITS,
-    MAX_PRECISION_DIGITS,
     MAX_ZETA_TERMS,
+    check_precision,
     check_work,
     fraction_from_text,
 )
@@ -170,9 +170,7 @@ def zeta_euler_maclaurin(
         raise InputError(
             f"correction_K must be in 1..{MAX_CORRECTION_K}, got {correction_K}"
         )
-    if precision_digits < 20:
-        raise InputError(f"precision_digits must be >= 20, got {precision_digits}")
-    check_work(precision_digits, MAX_PRECISION_DIGITS, "precision of {amount} digits")
+    check_precision(precision_digits)
 
     with mp.workdps(precision_digits + _GUARD):
         s_mp = _frac_to_mpf(s_exact)
@@ -209,6 +207,7 @@ def gamma_real(x, precision_digits: int = DEFAULT_PRECISION_DIGITS) -> mp.mpf:
     x_exact = _to_exact(x)
     if x_exact <= 0:
         raise DomainError(f"gamma_real needs x > 0, got {x_exact}")
+    check_precision(precision_digits)
     with mp.workdps(precision_digits + _GUARD):
         result = mp.gamma(_frac_to_mpf(x_exact))
     with mp.workdps(precision_digits):

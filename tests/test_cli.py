@@ -351,7 +351,7 @@ class TestManifestPrecision:
     def test_digitize_floor_is_recorded(self, capsys, zeros_path):
         payload = run_json(
             capsys,
-            ["zeros", "digitize", "--file", str(zeros_path), "--format", "json", "--digits", "10"],
+            ["zeros", "digitize", "--file", str(zeros_path), "--format", "json", "--digits", "20"],
         )
         assert payload["manifest"]["precision_digits"] == 40
         assert payload["result"]["precision_digits"] == 40
@@ -373,9 +373,8 @@ class TestManifestPrecision:
 
     def test_digits_zero_is_not_an_absent_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("FRACZETA_PRECISION", "25")
-        payload = run_json(capsys, ["construct", "pess", "--depth", "1", "--digits", "0"])
-        assert payload["manifest"]["precision_digits"] == 0
-        assert payload["manifest"]["parameters"]["digits"] == 0
+        assert main(["construct", "pess", "--depth", "1", "--digits", "0"]) == InputError.exit_code
+        assert capsys.readouterr() == ("", "error: precision_digits must be >= 20, got 0\n")
 
 
 def _reject_constant(name):
@@ -496,6 +495,13 @@ EXIT_CASES = [
     (["dimension", "pess", "--method", "boxcount", "--depth", "600"], {}, InputError.exit_code),
     (["dimension", "--modq", "2", "--keep", "1", "--method", "boxcount", "--depth", "1030"], {},
      InputError.exit_code),
+    # every command refuses a precision below limits.MIN_PRECISION_DIGITS, used or not
+    (["dimension", "pess", "--digits", "-3"], {}, InputError.exit_code),
+    (["construct", "pess", "--depth", "1", "--digits", "0"], {}, InputError.exit_code),
+    (["zeros", "stats", "--file", "ZEROS", "--digits", "-1"], {}, InputError.exit_code),
+    (["perturb", "--p", "0.75", "--depth", "3", "--trials", "2", "--seed", "1", "--digits", "19"], {},
+     InputError.exit_code),
+    (["construct", "pess", "--depth", "1"], {"FRACZETA_PRECISION": "5"}, InputError.exit_code),
 ]
 
 # an error exit is reached within this many seconds
@@ -545,7 +551,7 @@ def test_exit_codes(capsys, monkeypatch, tmp_path, zeros_path, argv, env, code):
          "without --scales the fit uses 4^-1..4^-depth, which needs 3 <= --depth <= 511\n"),
         # given scales get no note about the defaults
         (["dimension", "pess", "--method", "boxcount", "--depth", "3", "--scales", "1/4,1/16,1e-400"],
-         "error: scale 1/10" + "0" * 399 + " leaves the double range: every scale must keep 1/eps within it\n"),
+         "error: scale 1/a 401-digit number leaves the double range: every scale must keep 1/eps within it\n"),
         (["dimension", "pess", "--method", "boxcount", "--depth", "3", "--scales", "1/4,1/16"],
          "error: need at least 3 distinct scales, got 2\n"),
     ],

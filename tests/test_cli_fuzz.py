@@ -6,7 +6,7 @@ file, malformed data files (an ``inf`` line, a huge exponent, bytes that
 are not UTF-8, an empty file, a directory, a missing path), and outputs
 that can or cannot be written.  Each run must exit 0, 2, 3, 4, 5 or 6;
 exit 0 writes strict JSON, or the documented CSV or table, and an error
-ends with exactly one ``error:`` line.
+ends with exactly one ``error:`` line of bounded length.
 
 Valid values lie well inside the caps of :mod:`fraczeta.limits`; values
 past a cap are drawn to check that the run is refused at once.  A valid
@@ -33,6 +33,14 @@ DATA_DIR = Path(__file__).parent / "data"
 
 # every drawn run ends within this many seconds
 BUDGET_S = 5.0
+
+# An error line has at most this many characters once each file path in it
+# is shown as its token; a path is echoed as given, so its length is not
+# bounded here.  The longest line the suite produces is argparse's refusal
+# of an unknown command, which lists all ten; the longest of fraczeta's own
+# that the grammar can draw, the box-counting cap of ``--modq 10**30`` at
+# depth 30, has 175.
+MAX_ERROR_LINE = 189
 
 # A process argument cannot hold a NUL byte, so the drawn text holds none.
 GARBAGE = st.one_of(
@@ -115,7 +123,10 @@ DIMENSION = argv_of(
         "--scales",
         values(
             ["1/4,1/16,1/64", "1/3,1/5,1/7", "1e-300,1/2,1/4"],
-            ["1/2", "0,1/2,1/4", "-1/2,1/4,1/8", "1/0,1/2", "1e-400,1/4,1/16", "1e400,1/4,1/16", "1e9999999,1/4,1/16"],
+            [
+                "1/2", "0,1/2,1/4", "-1/2,1/4,1/8", "1/0,1/2", "1e-400,1/4,1/16", "1e400,1/4,1/16",
+                "1e9999999,1/4,1/16", ",".join(f"1/{10**999 + k}" for k in range(16)),
+            ],
         ),
     ),
     opt("--points-csv", SIDE_PATHS),
@@ -316,6 +327,11 @@ def test_every_argv_ends_in_a_documented_way(monkeypatch, files, argv):
     code, out, err, seconds = run(argv)
     assert code in {0, 2, 3, 4, 5, 6}, (code, err)
     assert seconds < BUDGET_S
+    if code != 0:
+        line = err.splitlines()[-1]
+        for token, path in sorted(files.items(), key=lambda item: -len(str(item[1]))):
+            line = line.replace(str(path), token)
+        assert len(line) <= MAX_ERROR_LINE, line
     if code == 0:
         assert err == ""
         to_file = _flag(argv, "--out")

@@ -14,7 +14,10 @@ def test_int_text_gives_an_unprintable_integer_its_exact_digit_count(k):
 
 
 def test_int_text_prints_an_integer_python_can_print():
-    assert int_text(10**4299) == "1" + "0" * 4299
+    assert int_text(10**40 - 1) == "9" * 40
+    assert int_text(-(10**40 - 1)) == "-" + "9" * 40
+    assert int_text(10**40) == "a 41-digit number"
+    assert int_text(10**4299) == "a 4300-digit number"
     assert int_text(-12) == "-12"
 
 

@@ -40,27 +40,27 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def capacity_error_uses(source: str) -> list[str]:
-    """How a module names ``CapacityError``: 'read', 'import' or 'class', in source order."""
+def name_uses(source: str, name: str) -> list[str]:
+    """How a module names ``name``: 'read', 'import' or 'class', in source order."""
     uses = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and node.id == "CapacityError":
+        if isinstance(node, ast.Name) and node.id == name:
             uses.append("read")
-        elif isinstance(node, ast.Attribute) and node.attr == "CapacityError":
+        elif isinstance(node, ast.Attribute) and node.attr == name:
             uses.append("read")
-        elif isinstance(node, ast.alias) and node.name == "CapacityError":
+        elif isinstance(node, ast.alias) and node.name == name:
             uses.append("import")
-        elif isinstance(node, ast.ClassDef) and node.name == "CapacityError":
+        elif isinstance(node, ast.ClassDef) and node.name == name:
             uses.append("class")
     return uses
 
 
 def test_capacity_check_finds_each_kind_of_use():
-    assert capacity_error_uses("'CapacityError'\nx = errors.InputError\n") == []
-    assert capacity_error_uses("raise CapacityError('x')\n") == ["read"]
-    assert capacity_error_uses("raise errors.CapacityError('x')\n") == ["read"]
-    assert capacity_error_uses("from .errors import CapacityError as C\n") == ["import"]
-    assert capacity_error_uses("class CapacityError(Exception): pass\n") == ["class"]
+    assert name_uses("'CapacityError'\nx = errors.InputError\n", "CapacityError") == []
+    assert name_uses("raise CapacityError('x')\n", "CapacityError") == ["read"]
+    assert name_uses("raise errors.CapacityError('x')\n", "CapacityError") == ["read"]
+    assert name_uses("from .errors import CapacityError as C\n", "CapacityError") == ["import"]
+    assert name_uses("class CapacityError(Exception): pass\n", "CapacityError") == ["class"]
 
 
 # Capacity errors are raised only by limits.check_work; __init__ re-exports the class.
@@ -69,7 +69,14 @@ def test_capacity_check_finds_each_kind_of_use():
 )
 def test_only_limits_names_capacity_error(path):
     expected = ["import"] if path.name == "__init__.py" else []
-    assert capacity_error_uses(path.read_text()) == expected
+    assert name_uses(path.read_text(), "CapacityError") == expected
+
+
+# The precision bounds are applied only by limits.check_precision.
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "limits.py"), ids=lambda p: p.name)
+def test_only_limits_reads_the_precision_bounds(path):
+    source = path.read_text()
+    assert name_uses(source, "MIN_PRECISION_DIGITS") + name_uses(source, "MAX_PRECISION_DIGITS") == []
 
 
 def formatted_check_work_labels(source: str) -> list[int]:

@@ -1,12 +1,13 @@
 """Zero-file parsing, digitization, reordering, and digit statistics."""
 
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from fraczeta.errors import InputError, ParseError
+from fraczeta.errors import CapacityError, InputError, ParseError
 from fraczeta.zeros import (
     digit_stats,
     digitize,
@@ -14,7 +15,7 @@ from fraczeta.zeros import (
     reorder,
     reorder_external_weights,
 )
-from fraczeta.limits import MAX_TEXT_EXPONENT
+from fraczeta.limits import MAX_PRECISION_DIGITS, MAX_TEXT_EXPONENT
 
 GAMMA_1 = "14.134725141734693"
 GAMMA_2 = "21.022039638771555"
@@ -128,6 +129,12 @@ class TestDigitize:
     def test_minimum_precision_enforced(self, zero_table):
         with pytest.raises(InputError):
             digitize(zero_table, 39)
+
+    def test_precision_above_the_cap_is_refused_at_once(self, zero_table):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=str(MAX_PRECISION_DIGITS)):
+            digitize(zero_table, MAX_PRECISION_DIGITS + 1)
+        assert time.perf_counter() - start < 0.1
 
     def test_zf_retained_pairs_always_two(self, zero_digits):
         from fraczeta.grids import make_zf_spec

@@ -1,6 +1,7 @@
 """Euler-Maclaurin zeta, Gamma, and the functional-equation residual."""
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -267,6 +268,16 @@ class TestGamma:
             gamma_real(0)
         with pytest.raises(DomainError):
             gamma_real(-3)
+
+    def test_precision_below_the_minimum_is_refused(self):
+        with pytest.raises(InputError, match="^precision_digits must be >= 20, got 19$"):
+            gamma_real(Fraction(1, 3), 19)
+
+    def test_precision_above_the_cap_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=str(MAX_PRECISION_DIGITS)):
+            gamma_real(Fraction(1, 3), MAX_PRECISION_DIGITS + 1)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestFunctionalEquation:
