@@ -12,7 +12,6 @@ error, 5 domain error, 6 parse error, 1 unexpected failure.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -31,8 +30,8 @@ from .grids import (
     ifs_of_grid,
     make_named_spec,
     make_zf_spec,
-    stage_to_json,
     write_stage_csv,
+    write_stage_json,
 )
 from .limits import (
     DEFAULT_BOUNDARY_TOL,
@@ -43,6 +42,7 @@ from .limits import (
     check_precision,
     check_work,
     fraction_from_text,
+    int_text,
 )
 
 # Modules that only some commands use (cardinality, dimension, montecarlo,
@@ -78,24 +78,31 @@ def _manifest_comment(manifest: dict) -> str:
     return f"manifest: {json.dumps(manifest, allow_nan=False)}"
 
 
-def _emit_json(args, manifest: dict, result) -> None:
-    payload = {"manifest": manifest, "result": result}
-    _write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
+def _write(path: str | None, flag: str, write) -> None:
+    """Call ``write`` on the file at ``path``, given by ``flag``, or on stdout when no path is given.
 
-
-def _write_text(text: str, path: str | None, flag: str = "--out") -> None:
-    """Write ``text`` to ``path``, given by ``flag``, or to stdout when no path is given.
-
-    A path that cannot be written is an input error naming the flag.
+    Every artifact goes through here once its run has passed every check,
+    so a refused run opens no file.  A path that cannot be written is an
+    input error naming the flag.
     """
     if not path:
-        sys.stdout.write(text)
-        return
+        return write(sys.stdout)
     try:
         with open(path, "w") as fp:
-            fp.write(text)
+            write(fp)
     except OSError as exc:
         raise InputError(f"{flag}: cannot write {path}: {exc}") from exc
+
+
+def _write_lines(path: str | None, flag: str, lines, manifest: dict | None = None) -> None:
+    """Write ``lines``, each ended by a newline, after the manifest comment when ``manifest`` is given."""
+    head = [] if manifest is None else [f"# {_manifest_comment(manifest)}"]
+    _write(path, flag, lambda fp: fp.writelines(f"{line}\n" for line in [*head, *lines]))
+
+
+def _emit_json(args, manifest: dict, result) -> None:
+    text = json.dumps({"manifest": manifest, "result": result}, indent=2, allow_nan=False)
+    _write(args.out, "--out", lambda fp: fp.write(text + "\n"))
 
 
 def _mpf_str(value, digits: int) -> str:
@@ -172,18 +179,16 @@ def _spec_from_args(args, digits: int) -> GridSpec:
 
 def cmd_construct(args, digits: int) -> None:
     if args.cap < 0:
-        raise InputError(f"--cap must be >= 0, got {args.cap}")
+        raise InputError(f"--cap must be >= 0, got {int_text(args.cap)}")
     spec = _spec_from_args(args, digits)
     stage = build_stage(spec, args.depth)
-    # write_stage_csv streams without a cap, so the CSV path relies on this
+    # both writers stream without a cap, so they rely on this
     stage.check_cap(args.cap)
     manifest = _manifest(args, digits, label=spec.label)
     if args.format == "json":
-        _emit_json(args, manifest, stage_to_json(stage, cap=args.cap))
+        _write(args.out, "--out", lambda fp: write_stage_json(stage, fp, manifest))
     else:
-        buf = io.StringIO()
-        write_stage_csv(stage, buf, comments=[_manifest_comment(manifest)])
-        _write_text(buf.getvalue(), args.out)
+        _write(args.out, "--out", lambda fp: write_stage_csv(stage, fp, [_manifest_comment(manifest)]))
 
 
 def _deepest_default_depth(base: int) -> int:
@@ -219,14 +224,14 @@ def cmd_dimension(args, digits: int) -> None:
             try:
                 est = box_dimension_fit(stage, [Fraction(1, b**k) for k in range(1, args.depth + 1)])
             except InputError as exc:
+                shown = int_text(b)
                 raise InputError(
-                    f"{exc}; without --scales the fit uses {b}^-1..{b}^-depth, "
+                    f"{exc}; without --scales the fit uses {shown}^-1..{shown}^-depth, "
                     f"which needs 3 <= --depth <= {_deepest_default_depth(b)}"
                 ) from exc
         if args.points_csv:
-            buf = io.StringIO()
-            write_fit_points_csv(est, buf, comments=[_manifest_comment(manifest)])
-            _write_text(buf.getvalue(), args.points_csv, "--points-csv")
+            comments = [_manifest_comment(manifest)]
+            _write(args.points_csv, "--points-csv", lambda fp: write_fit_points_csv(est, fp, comments))
         result = {
             "method": est.method,
             "label": spec.label,
@@ -297,13 +302,11 @@ def cmd_zeros_digitize(args, digits: int) -> None:
         }
         _emit_json(args, manifest, result)
     else:
-        lines = [f"# {_manifest_comment(manifest)}", "n,gamma,t,a,boundary_flag"]
-        for e in seq:
-            lines.append(
-                f"{e.n},{e.gamma},{_mpf_str(e.t, seq.precision_digits)},{e.a},"
-                f"{str(e.boundary_flag).lower()}"
-            )
-        _write_text("\n".join(lines) + "\n", args.out)
+        rows = (
+            f"{e.n},{e.gamma},{_mpf_str(e.t, seq.precision_digits)},{e.a},{str(e.boundary_flag).lower()}"
+            for e in seq
+        )
+        _write_lines(args.out, "--out", ["n,gamma,t,a,boundary_flag", *rows], manifest)
 
 
 def cmd_zeros_stats(args, digits: int) -> None:
@@ -324,8 +327,7 @@ def cmd_zeros_stats(args, digits: int) -> None:
 def cmd_zeros_reorder(args, digits: int) -> None:
     table = _load_table(args)
     manifest = _manifest(args, digits, ordering=table.ordering)
-    lines = [f"# {_manifest_comment(manifest)}", *table.gamma_strings]
-    _write_text("\n".join(lines) + "\n", args.out)
+    _write_lines(args.out, "--out", table.gamma_strings, manifest)
 
 
 def cmd_compare(args, digits: int) -> None:
@@ -387,18 +389,12 @@ def cmd_catalog(args, digits: int) -> None:
             delta_txt += f" ({r['delta_exact']})"
         iota_short = mp.nstr(mp.mpf(r["iota"]), 8)
         table_rows.append(
-            [
-                r["name"],
-                str(r["alpha"]),
-                delta_txt,
-                iota_short,
-                f"({r['alpha']}, {r['delta']:.6g}, {iota_short})",
-            ]
+            [r["name"], str(r["alpha"]), delta_txt, iota_short, f"({r['alpha']}, {r['delta']:.6g}, {iota_short})"]
         )
-    _write_text("\n".join(_text_table(table_rows)) + "\n", args.out)
+    _write_lines(args.out, "--out", _text_table(table_rows))
 
 
-def _pair_table(report) -> str:
+def _pair_table(report) -> list[str]:
     """Side-by-side property table for the two signed constructions."""
     import mpmath as mp
 
@@ -414,11 +410,12 @@ def _pair_table(report) -> str:
         ("information measure", f"{iota_p} (> 0)", f"{iota_z} (< 0)"),
         ("arithmetic origin", "residues 1,3 mod 4", "zero ordinates mod 2pi"),
     ]
-    lines = _text_table(rows)
-    lines.append("")
-    lines.append(f"sum of information measures: {mp.nstr(report.total, min(5, shown))}")
-    lines.append(f"caveat: {report.caveat}")
-    return "\n".join(lines) + "\n"
+    return [
+        *_text_table(rows),
+        "",
+        f"sum of information measures: {mp.nstr(report.total, min(5, shown))}",
+        f"caveat: {report.caveat}",
+    ]
 
 
 def cmd_conservation(args, digits: int) -> None:
@@ -429,7 +426,7 @@ def cmd_conservation(args, digits: int) -> None:
     report = conservation_report(precision_digits=digits, zero_digits=seq)
     manifest = _manifest(args, digits)
     if args.format == "table":
-        _write_text(_pair_table(report), args.out)
+        _write_lines(args.out, "--out", _pair_table(report))
         return
     result = {
         "iota_pess": _zeta_str(report.iota_pess, report.zeta, digits),
@@ -478,14 +475,12 @@ def cmd_perturb(args, digits: int) -> None:
         **asdict(run.aggregate),
     }
     if args.per_trial:
-        lines = [f"# {_manifest_comment(manifest)}"]
-        lines.append("trial,final_count,extinct,dim_estimate")
-        for i, o in enumerate(run.outcomes):
-            dim = "" if o.dim_estimate is None else repr(o.dim_estimate)
-            lines.append(
-                f"{i},{o.survivor_counts[-1]},{str(o.extinct).lower()},{dim}"
-            )
-        _write_text("\n".join(lines) + "\n", args.per_trial, "--per-trial")
+        rows = (
+            f"{i},{o.survivor_counts[-1]},{str(o.extinct).lower()},"
+            f"{'' if o.dim_estimate is None else repr(o.dim_estimate)}"
+            for i, o in enumerate(run.outcomes)
+        )
+        _write_lines(args.per_trial, "--per-trial", ["trial,final_count,extinct,dim_estimate", *rows], manifest)
     _emit_json(args, manifest, result)
 
 

@@ -22,7 +22,7 @@ from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import AddressError, InputError, UnsupportedStructureError
-from .limits import DEFAULT_ENUMERATION_CAP, MAX_STAGE_BITS, check_work
+from .limits import DEFAULT_ENUMERATION_CAP, MAX_STAGE_BITS, check_work, int_text
 
 # StageSet.numerators builds the numerators of the deepest levels once, as a
 # list of at most this many integers, and shifts a copy of it per upper-level
@@ -44,10 +44,9 @@ def _check_retained(base: int, digits: Sequence[int], level: str) -> tuple[int, 
     out = tuple(sorted(set(int(d) for d in digits)))
     if not out:
         raise InputError(f"retained set at {level} is empty")
-    if any(d < 0 or d >= base for d in out):
-        raise InputError(
-            f"retained digits {list(out)} at {level} not all in 0..{base - 1}"
-        )
+    bad = [d for d in out if d < 0 or d >= base]
+    if bad:
+        raise InputError(f"retained digit {int_text(bad[0])} at {level} not in 0..{int_text(base - 1)}")
     if len(out) >= base:
         raise InputError(
             f"retained set at {level} keeps every digit; must be a strict subset"
@@ -70,7 +69,7 @@ class GridSpec:
 
     def __post_init__(self):
         if self.base < 2:
-            raise InputError(f"base must be >= 2, got {self.base}")
+            raise InputError(f"base must be >= 2, got {int_text(self.base)}")
         if (self.constant is None) == (self.per_level is None):
             raise InputError("exactly one of constant/per_level must be given")
         if self.constant is not None:
@@ -261,7 +260,7 @@ def make_zf_spec(digits, label: str = "zf") -> GridSpec:
 def build_stage(spec: GridSpec, depth: int) -> StageSet:
     """Exact stage-``depth`` approximation of the spec's fractal."""
     if depth < 0:
-        raise InputError(f"depth must be >= 0, got {depth}")
+        raise InputError(f"depth must be >= 0, got {int_text(depth)}")
     if spec.max_depth is not None and depth > spec.max_depth:
         raise InputError(
             f"spec '{spec.label}' has digits for {spec.max_depth} levels, "
@@ -386,7 +385,7 @@ def self_similarity_check(
             "a single map family cannot reproduce it"
         )
     if depth < 1:
-        raise InputError(f"depth must be >= 1, got {depth}")
+        raise InputError(f"depth must be >= 1, got {int_text(depth)}")
     ifs = ifs_of_grid(spec)
     build_stage(spec, 0).check_cap(cap)
     current = [0]
@@ -407,16 +406,13 @@ def self_similarity_check(
     return SelfSimilarityReport(ok=True, spec_label=spec.label, levels_checked=depth)
 
 
-def _lowest_terms(num: int, den: int) -> tuple[int, int]:
-    g = gcd(num, den)
-    return num // g, den // g
-
-
 def stage_rows(stage: StageSet) -> Iterator[tuple[int, int, int, int, int]]:
     """CSV-ready rows (index, left_num, left_den, right_num, right_den), in lowest terms."""
     den = stage.spec.base**stage.depth
     for i, num in enumerate(stage.numerators()):
-        yield (i, *_lowest_terms(num, den), *_lowest_terms(num + 1, den))
+        g = gcd(num, den)
+        h = gcd(num + 1, den)
+        yield (i, num // g, den // g, (num + 1) // h, den // h)
 
 
 def write_stage_csv(stage: StageSet, fp, comments: Sequence[str] = ()) -> None:
@@ -427,9 +423,7 @@ def write_stage_csv(stage: StageSet, fp, comments: Sequence[str] = ()) -> None:
     fp.writelines("%d,%d,%d,%d,%d\n" % row for row in stage_rows(stage))
 
 
-def stage_to_json(stage: StageSet, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
-    """JSON-ready dict with exact 'p/q' endpoint strings."""
-    stage.check_cap(cap)
+def _stage_header(stage: StageSet) -> dict:
     total = stage.total_length
     return {
         "label": stage.spec.label,
@@ -437,7 +431,41 @@ def stage_to_json(stage: StageSet, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
         "depth": stage.depth,
         "interval_count": stage.interval_count,
         "total_length": "%d/%d" % (total.numerator, total.denominator),
+    }
+
+
+def stage_to_json(stage: StageSet, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
+    """JSON-ready dict with exact 'p/q' endpoint strings."""
+    stage.check_cap(cap)
+    return {
+        **_stage_header(stage),
         "intervals": [
             ["%d/%d" % (ln, ld), "%d/%d" % (rn, rd)] for _, ln, ld, rn, rd in stage_rows(stage)
         ],
     }
+
+
+# One interval of the array as json.dumps(indent=2) lays it out three levels deep.
+_JSON_INTERVAL = ',\n      [\n        "%d/%d",\n        "%d/%d"\n      ]'
+
+
+def write_stage_json(stage: StageSet, fp, manifest: dict) -> None:
+    """Stream ``{"manifest": manifest, "result": stage_to_json(stage)}`` to ``fp``.
+
+    The text is what ``json.dumps(..., indent=2)`` gives, plus a newline.
+    Only the manifest and the stage header go through ``json``; the interval
+    array is written straight from :func:`stage_rows`.  Like
+    :func:`write_stage_csv`, it enumerates the stage without a cap.
+    """
+    import json  # only exports use it, so `import fraczeta` does not load it
+
+    # "intervals" is the last key, so its empty array is the last "[]" of the text
+    head, tail = json.dumps(
+        {"manifest": manifest, "result": {**_stage_header(stage), "intervals": []}},
+        indent=2, allow_nan=False,
+    ).rsplit("[]", 1)
+    # every stage has at least one interval; the first one takes no comma
+    rows = stage_rows(stage)
+    fp.write(head + "[" + _JSON_INTERVAL[1:] % next(rows)[1:])
+    fp.writelines(_JSON_INTERVAL % row[1:] for row in rows)
+    fp.write(f"\n    ]{tail}\n")

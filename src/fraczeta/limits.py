@@ -67,10 +67,14 @@ def check_work(amount, cap, what: str, **values) -> None:
 
     ``what`` describes the amount as a ``str.format`` template over
     ``amount`` and ``values``.  It is filled in only when the check fails,
-    with each integer shown by :func:`int_text`.
+    with each integer shown by :func:`int_text` and each text value by
+    :func:`label_text`.
     """
     if amount > cap:
-        shown = {k: int_text(v) if type(v) is int else v for k, v in {**values, "amount": amount}.items()}
+        shown = {
+            k: int_text(v) if type(v) is int else label_text(v) if type(v) is str else v
+            for k, v in {**values, "amount": amount}.items()
+        }
         raise CapacityError(f"{what.format(**shown)}, above the cap {int_text(cap)}")
 
 
@@ -88,6 +92,15 @@ def int_text(n: int) -> str:
     # 2**(bits - 1) <= |n| < 2**bits, so n has d or d + 1 digits
     d = int((abs(n).bit_length() - 1) * 0.3010299956639812) + 1
     return f"a {d + (abs(n) >= 10**d)}-digit number"
+
+
+def label_text(label: str) -> str:
+    """``label`` with each run of more than 40 digits shown as ``<a N-digit number>``.
+
+    A label such as ``mod<q>`` holds a user integer; the artifact keeps it
+    whole, a message shows it by the rule of :func:`int_text`.
+    """
+    return re.sub(r"\d{41,}", lambda m: f"<a {len(m.group())}-digit number>", label)
 
 
 def check_text_exponent(text: str) -> None:

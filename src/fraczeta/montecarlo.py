@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import InputError, SubcriticalRetentionWarning
-from .limits import MAX_BINOMIAL_COUNT, MAX_TRIAL_LEVELS, check_work
+from .limits import MAX_BINOMIAL_COUNT, MAX_TRIAL_LEVELS, check_work, int_text
 
 
 def expected_dimension(p: float) -> float:
@@ -54,11 +54,11 @@ class RetentionConfig:
         if any(not (0 <= p <= 1) for p in self.probs):
             raise InputError(f"probabilities must lie in [0, 1], got {self.probs}")
         if self.depth < 1:
-            raise InputError(f"depth must be >= 1, got {self.depth}")
+            raise InputError(f"depth must be >= 1, got {int_text(self.depth)}")
         if self.trials < 1:
-            raise InputError(f"trials must be >= 1, got {self.trials}")
+            raise InputError(f"trials must be >= 1, got {int_text(self.trials)}")
         if self.base < 2:
-            raise InputError(f"base must be >= 2, got {self.base}")
+            raise InputError(f"base must be >= 2, got {int_text(self.base)}")
         if not (0 <= self.seed < 2**64):
             raise InputError("seed must be a 64-bit unsigned integer")
 

@@ -36,6 +36,7 @@ from .limits import (
     check_precision,
     check_work,
     fraction_from_text,
+    int_text,
 )
 
 MAX_CORRECTION_K = 30
@@ -164,11 +165,11 @@ def zeta_euler_maclaurin(
         correction_K = MAX_CORRECTION_K
     if terms_N is not None:
         if terms_N < 2:
-            raise InputError(f"terms_N must be >= 2, got {terms_N}")
+            raise InputError(f"terms_N must be >= 2, got {int_text(terms_N)}")
         check_work(terms_N, MAX_ZETA_TERMS, "terms_N = {amount}")
     if not (1 <= correction_K <= MAX_CORRECTION_K):
         raise InputError(
-            f"correction_K must be in 1..{MAX_CORRECTION_K}, got {correction_K}"
+            f"correction_K must be in 1..{MAX_CORRECTION_K}, got {int_text(correction_K)}"
         )
     check_precision(precision_digits)
 

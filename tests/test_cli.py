@@ -381,6 +381,8 @@ def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
+NINES = "9" * 4000
+
 # (argv, environment, exit code); ZEROS stands for the shipped zero file,
 # INF_ZEROS for a zero file with an 'inf' line, HUGE_ZEROS and HUGE_WEIGHTS
 # for a zero file and a weight file with a '1e999999' line, NOT_UTF8 for a
@@ -502,6 +504,15 @@ EXIT_CASES = [
     (["perturb", "--p", "0.75", "--depth", "3", "--trials", "2", "--seed", "1", "--digits", "19"], {},
      InputError.exit_code),
     (["construct", "pess", "--depth", "1"], {"FRACZETA_PRECISION": "5"}, InputError.exit_code),
+    # a 4000-digit integer in an error is shown by its digit count
+    pytest.param(["construct", "pess", "--depth", "-" + NINES], {}, InputError.exit_code,
+                 id="construct pess --depth -9...9 (4000 digits)"),
+    pytest.param(["construct", "pess", "--depth", "1", "--cap", "-" + NINES], {}, InputError.exit_code,
+                 id="construct pess --depth 1 --cap -9...9 (4000 digits)"),
+    pytest.param(["perturb", "--p", "0.5", "--depth", "-" + NINES, "--trials", "1", "--seed", "1"], {},
+                 InputError.exit_code, id="perturb --p 0.5 --depth -9...9 (4000 digits) --trials 1 --seed 1"),
+    pytest.param(["construct", "--modq", NINES, "--keep", "1", "--depth", "1"], {}, CapacityError.exit_code,
+                 id="construct --modq 9...9 (4000 digits) --keep 1 --depth 1"),
 ]
 
 # an error exit is reached within this many seconds
@@ -560,6 +571,55 @@ def test_exit_codes(capsys, monkeypatch, tmp_path, zeros_path, argv, env, code):
 def test_boxcount_scale_errors_name_the_scale_and_the_default_depths(capsys, argv, message):
     assert main(argv) == InputError.exit_code
     assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["construct", "pess", "--depth", "-" + NINES], "depth must be >= 0, got a 4000-digit number"),
+        (["construct", "pess", "--depth", "1", "--cap", "-" + NINES], "--cap must be >= 0, got a 4000-digit number"),
+        (["perturb", "--p", "0.5", "--depth", "-" + NINES, "--trials", "1", "--seed", "1"],
+         "depth must be >= 1, got a 4000-digit number"),
+        (["perturb", "--p", "0.5", "--depth", "1", "--trials", "1", "--seed", "1", "--base", "-" + NINES],
+         "base must be >= 2, got a 4000-digit number"),
+        (["construct", "--modq", "-" + NINES, "--keep", "1", "--depth", "1"],
+         "base must be >= 2, got a 4000-digit number"),
+        (["construct", "--modq", NINES, "--keep", "-1", "--depth", "1"],
+         "retained digit -1 at all levels not in 0..a 4000-digit number"),
+        (["construct", "--modq", NINES, "--keep", "1", "--depth", "1"],
+         "stage 1 of 'mod<a 4000-digit number>' has endpoints of 13288 bits, above the cap 12000"),
+        (["zeta", "--s", "2", "--terms", "-" + NINES], "terms_N must be >= 2, got a 4000-digit number"),
+        (["zeta", "--s", "2", "--k", NINES], "correction_K must be in 1..30, got a 4000-digit number"),
+    ],
+    ids=["construct depth", "construct cap", "perturb depth", "perturb base", "modq base", "modq keep",
+         "modq label", "zeta terms", "zeta k"],
+)
+def test_errors_show_a_long_integer_by_its_digit_count(capsys, argv, message):
+    assert main(argv) in (InputError.exit_code, CapacityError.exit_code)
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_the_label_of_a_long_modulus_stays_whole_in_the_artifact(capsys):
+    payload = run_json(capsys, ["construct", "--modq", NINES, "--keep", "1", "--depth", "0"])
+    assert payload["result"]["label"] == "mod" + NINES
+    assert payload["result"]["base"] == int(NINES)
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["construct", "pess", "--depth", "8", "--cap", "100"], CapacityError.exit_code),
+        (["construct", "pess", "--depth", "8", "--format", "csv", "--cap", "100"], CapacityError.exit_code),
+        (["construct", "pess", "--depth", "2", "--digits", "5"], InputError.exit_code),
+        (["construct", "pess", "--depth", "2", "--format", "csv", "--digits", "5000"], CapacityError.exit_code),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_a_refused_construct_writes_no_file(capsys, tmp_path, argv, code):
+    out = tmp_path / "stage.out"
+    assert main([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -42,6 +42,9 @@ BUDGET_S = 5.0
 # depth 30, has 175.
 MAX_ERROR_LINE = 189
 
+# an integer of 4000 digits, which argparse reads and every message must abbreviate
+NINES = "9" * 4000
+
 # A process argument cannot hold a NUL byte, so the drawn text holds none.
 GARBAGE = st.one_of(
     st.sampled_from(["", "x", "nan", "inf", "-inf", "1/0", "1e9999999", "1e-9999999", "0.5.5", "1,,2"]),
@@ -87,7 +90,7 @@ SET_CHOICES = st.one_of(
     values(["pess", "cantor13", "classic-cantor", "mod6", "mod8"], ["wat"]).map(lambda n: [n]),
     req("--zeros", DATA_FILES),
     argv_of(
-        req("--modq", values([6, 8, 10**30], [1, 0, -3])),
+        req("--modq", values([6, 8, 10**30], [1, 0, -3, NINES])),
         req("--keep", values(["1,5", "1,3,5,7", "1"], ["0,1,2,3,4,5", "9", "-1", "1,x"])),
     ),
 )
@@ -103,14 +106,14 @@ SET_FLAGS = argv_of(
     opt("--seed", SEED),
     opt("--tol", values([1e-3, 1e-6], [0, -1])),
 )
-DEPTH = values([0, 1, 2, 3, 5], [-1, 21, 30, 10**6, 10**30])
+DEPTH = values([0, 1, 2, 3, 5], [-1, 21, 30, 10**6, 10**30, "-" + NINES])
 
 CONSTRUCT = argv_of(
     fixed("construct"),
     SET_FLAGS,
     req("--depth", DEPTH),
     opt("--format", values(["json", "csv"])),
-    opt("--cap", values([100, 2**20], [-5, 0, 1])),
+    opt("--cap", values([100, 2**20], [-5, 0, 1, "-" + NINES])),
     DIGITS,
     OUT,
 )
@@ -178,7 +181,7 @@ PERTURB = argv_of(
         req("--bias", values(["0.6,0.9", "1,1", "0,0"], ["0.5", "x,0.5", "nan,0.5", "2,0"])),
         argv_of(opt("--p", values([0.5])), opt("--bias", values(["0.6,0.9"]))),
     ),
-    req("--depth", values([1, 3, 12, 64, 70], [0, -1, 1_000_001])),
+    req("--depth", values([1, 3, 12, 64, 70], [0, -1, 1_000_001, "-" + NINES])),
     req("--trials", values([1, 5, 20], [0, -1, 10**8])),
     req("--seed", SEED),
     opt("--base", values([2, 4, 10**30], [1, 0])),

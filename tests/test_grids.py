@@ -2,11 +2,12 @@
 
 import io
 import itertools
+import json
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraczeta.grids as grids_module
@@ -34,6 +35,7 @@ from fraczeta.grids import (
     stage_rows,
     stage_to_json,
     write_stage_csv,
+    write_stage_json,
 )
 from fraczeta.limits import DEFAULT_ENUMERATION_CAP
 
@@ -461,6 +463,12 @@ def stages(draw):
     return build_stage(spec, depth)
 
 
+# manifest values: what a run manifest holds
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4), st.lists(st.integers(), max_size=3),
+)
+
 # tail lists from one integer up to the default, so every split of the levels occurs
 tail_sizes = st.one_of(st.integers(1, 64), st.just(grids_module._TAIL_SIZE))
 
@@ -489,6 +497,20 @@ class TestIntegerEnumeration:
         expected = reference_json(stage)
         assert first_difference(payload.pop("intervals"), expected.pop("intervals")) is None
         assert payload == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(stages(), tail_sizes, st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=3))
+    # depth 0, and depth 5 of a one-digit rule: one interval each
+    @example(build_stage(make_pess_spec(), 0), 1, {"command": "construct"})
+    @example(build_stage(GridSpec(base=3, label="one", constant=(2,)), 5), 1, {})
+    def test_streamed_json_matches_json_dumps(self, stage, tail_size, manifest):
+        with mock.patch.object(grids_module, "_TAIL_SIZE", tail_size):
+            fp = io.StringIO()
+            write_stage_json(stage, fp, manifest)
+            expected = json.dumps({"manifest": manifest, "result": stage_to_json(stage)}, indent=2) + "\n"
+        got = fp.getvalue()
+        assert first_difference(got.splitlines(), expected.splitlines()) is None
+        assert got == expected
 
     def test_numerators_stream(self):
         # 2^60 intervals: only a generator that streams can return the first one

@@ -108,6 +108,37 @@ def test_check_work_labels_are_templates(path):
     assert formatted_check_work_labels(path.read_text()) == []
 
 
+def open_callers(source: str) -> list[str]:
+    """The function around each call of ``open`` or ``x.open``, in source order; '<module>' outside any."""
+    callers = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", None)) == "open":
+                callers.append(owner)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(ast.parse(source), "<module>")
+    return callers
+
+
+def test_open_check_finds_each_caller():
+    source = (
+        "def f(p):\n"
+        "    open(p)\n"
+        "    def g(q):\n"
+        "        return q.open()\n"
+        "    return [opened(p)]\n"
+        "os.open('x')\n"
+    )
+    assert open_callers(source) == ["f", "g", "<module>"]
+
+
+# Every artifact the command line writes goes through one writer.
+def test_cli_opens_files_in_one_function():
+    assert open_callers((PACKAGE / "cli.py").read_text()) == ["_write"]
+
+
 def test_zeros_and_limits_load_without_zeta():
     code = (
         "import sys\n"
