@@ -47,7 +47,9 @@ class LogRatio:
 
     def __post_init__(self):
         if self.num < 1 or self.base < 2:
-            raise InputError(f"log ratio needs num >= 1 and base >= 2, got {self}")
+            raise InputError(
+                "log ratio needs num >= 1 and base >= 2, got log {num} / log {base}", num=self.num, base=self.base
+            )
 
     def as_float(self) -> float:
         return math.log(self.num) / math.log(self.base)
@@ -90,14 +92,14 @@ class InfoCardinality:
 
     def __post_init__(self):
         if self.alpha not in (0, 1):
-            raise InputError(f"alpha must be 0 or 1, got {self.alpha}")
+            raise InputError("alpha must be 0 or 1, got {alpha}", alpha=self.alpha)
         if self.dim_vector is not None:
             if not self.dim_vector:
                 raise InputError("dimension vector must be non-empty when present")
             if abs(self.dim_vector[0] - self.delta) > COMPARE_TOL:
                 raise InputError(
-                    f"dimension vector head {self.dim_vector[0]} does not match "
-                    f"delta {self.delta}"
+                    "dimension vector head {head} does not match delta {delta}",
+                    head=self.dim_vector[0], delta=self.delta,
                 )
 
     def vector(self) -> tuple[float, ...]:
@@ -176,9 +178,7 @@ def compare_extended(a: InfoCardinality, b: InfoCardinality) -> str:
     """Componentwise comparison: alpha, then the dimension vector, then iota."""
     va, vb = a.vector(), b.vector()
     if len(va) != len(vb):
-        raise InputError(
-            f"dimension vectors differ in length ({len(va)} vs {len(vb)})"
-        )
+        raise InputError("dimension vectors differ in length ({a} vs {b})", a=len(va), b=len(vb))
     if a.alpha != b.alpha:
         return DOMINATES if a.alpha > b.alpha else DOMINATED
     rels = {_compare_reals(x, y) for x, y in zip(va, vb)}

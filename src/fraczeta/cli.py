@@ -19,6 +19,7 @@ import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
+from pathlib import Path
 
 from . import __version__
 from .errors import FraczetaError, InputError
@@ -42,7 +43,6 @@ from .limits import (
     check_precision,
     check_work,
     fraction_from_text,
-    int_text,
 )
 
 # Modules that only some commands use (cardinality, dimension, montecarlo,
@@ -57,12 +57,11 @@ def _manifest(args, digits: int, **extra) -> dict:
         if k not in {"func", "command", "out"} and v is not None
     }
     params.update(extra)
-    params = {k: (str(v) if isinstance(v, Fraction) else v) for k, v in params.items()}
     # JSON output is strict, so a non-finite float flag is an input error
     # even where the command does not use it
     for k, v in params.items():
         if isinstance(v, float) and not math.isfinite(v):
-            raise InputError(f"--{k.replace('_', '-')}: expected a finite number, got {v}")
+            raise InputError("--{flag}: expected a finite number, got {value}", flag=k.replace("_", "-"), value=v)
     return {
         "command": args.command,
         "parameters": params,
@@ -91,7 +90,7 @@ def _write(path: str | None, flag: str, write) -> None:
         with open(path, "w") as fp:
             write(fp)
     except OSError as exc:
-        raise InputError(f"{flag}: cannot write {path}: {exc}") from exc
+        raise InputError("{flag}: cannot write {path}: {exc}", flag=flag, path=Path(path), exc=exc) from exc
 
 
 def _write_lines(path: str | None, flag: str, lines, manifest: dict | None = None) -> None:
@@ -121,8 +120,8 @@ def _zeta_str(value, zv, digits: int) -> str:
     shown = min(digits, zv.certified_digits)
     if shown < 1:
         raise InputError(
-            f"N = {zv.terms_N}, K = {zv.correction_K} certify no digit of zeta({zv.s}) "
-            f"(error bound {mp.nstr(zv.error_bound, 3)}); raise --terms or lower --k"
+            "N = {n}, K = {k} certify no digit of zeta({s}) (error bound {bound}); raise --terms or lower --k",
+            n=zv.terms_N, k=zv.correction_K, s=zv.s, bound=mp.nstr(zv.error_bound, 3),
         )
     return _mpf_str(value, shown)
 
@@ -139,7 +138,7 @@ def _parse_list(text: str, flag: str, conv) -> list:
     try:
         return [conv(tok.strip()) for tok in text.split(",") if tok.strip()]
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{flag}: cannot parse {text!r}") from exc
+        raise InputError("{flag}: cannot parse {text!r}", flag=flag, text=text) from exc
 
 
 def _text_table(rows) -> list[str]:
@@ -179,7 +178,7 @@ def _spec_from_args(args, digits: int) -> GridSpec:
 
 def cmd_construct(args, digits: int) -> None:
     if args.cap < 0:
-        raise InputError(f"--cap must be >= 0, got {int_text(args.cap)}")
+        raise InputError("--cap must be >= 0, got {cap}", cap=args.cap)
     spec = _spec_from_args(args, digits)
     stage = build_stage(spec, args.depth)
     # both writers stream without a cap, so they rely on this
@@ -224,11 +223,8 @@ def cmd_dimension(args, digits: int) -> None:
             try:
                 est = box_dimension_fit(stage, [Fraction(1, b**k) for k in range(1, args.depth + 1)])
             except InputError as exc:
-                shown = int_text(b)
-                raise InputError(
-                    f"{exc}; without --scales the fit uses {shown}^-1..{shown}^-depth, "
-                    f"which needs 3 <= --depth <= {_deepest_default_depth(b)}"
-                ) from exc
+                note = "{error}; without --scales the fit uses {b}^-1..{b}^-depth, which needs 3 <= --depth <= {top}"
+                raise InputError(note, error=exc, b=b, top=_deepest_default_depth(b)) from exc
         if args.points_csv:
             comments = [_manifest_comment(manifest)]
             _write(args.points_csv, "--points-csv", lambda fp: write_fit_points_csv(est, fp, comments))
@@ -337,7 +333,7 @@ def cmd_compare(args, digits: int) -> None:
     missing = [n for n in (args.a, args.b) if n not in entries]
     if missing:
         raise InputError(
-            f"unknown catalog name(s) {missing}; valid: {', '.join(sorted(entries))}"
+            "unknown catalog name(s) {missing}; valid: {names}", missing=missing, names=", ".join(sorted(entries))
         )
     a = entries[args.a].cardinality
     b = entries[args.b].cardinality
@@ -459,7 +455,7 @@ def cmd_perturb(args, digits: int) -> None:
     else:
         parts = _parse_list(args.bias, "--bias", _finite_float)
         if len(parts) != 2:
-            raise InputError(f"--bias needs two probabilities, got {args.bias!r}")
+            raise InputError("--bias needs two probabilities, got {bias!r}", bias=args.bias)
         probs = (parts[0], parts[1])
     config = RetentionConfig(
         probs=probs, depth=args.depth, trials=args.trials, seed=args.seed, base=args.base
@@ -491,11 +487,11 @@ def _parse_q_grid(args) -> list[float]:
         raise InputError("give --q LIST or --q-range START:STOP:STEP")
     parts = args.q_range.split(":")
     if len(parts) != 3:
-        raise InputError(f"--q-range must be START:STOP:STEP, got {args.q_range!r}")
+        raise InputError("--q-range must be START:STOP:STEP, got {q_range!r}", q_range=args.q_range)
     try:
         start, stop, step = (fraction_from_text(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"--q-range: cannot parse {args.q_range!r}") from exc
+        raise InputError("--q-range: cannot parse {q_range!r}", q_range=args.q_range) from exc
     if step <= 0 or stop < start:
         raise InputError("--q-range needs step > 0 and stop >= start")
     if max(abs(start), abs(stop)) > sys.float_info.max:
@@ -634,7 +630,7 @@ def _precision(args) -> int:
         try:
             digits = int(raw)
         except ValueError as exc:
-            raise InputError(f"FRACZETA_PRECISION must be an integer, got {raw!r}") from exc
+            raise InputError("FRACZETA_PRECISION must be an integer, got {raw!r}", raw=raw) from exc
     check_precision(digits)
     if args.func in (cmd_zeros_digitize, cmd_zeros_stats) or getattr(args, "zeros", None):
         return max(digits, MIN_DIGITIZE_DPS)

@@ -12,14 +12,13 @@ alpha = -dtau/dq, f = q*alpha + tau (Halsey et al., Phys. Rev. A 33,
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, InputError
 from .grids import GeneralIfsSpec, StageSet
-from .limits import DEFAULT_ENUMERATION_CAP, check_work, int_text
+from .limits import DEFAULT_ENUMERATION_CAP, check_work
 
 BISECTION_TOL = 1e-12
 
@@ -63,6 +62,17 @@ def _bisect_decreasing(fn, lo: float, hi: float) -> float:
     return (lo + hi) / 2
 
 
+def _doubles(values: Sequence, name: str, top: float = math.inf) -> list[float]:
+    """Values in (0, top) as doubles, checked as exact fractions first; none may round to 0 or to ``top``."""
+    exact = [Fraction(v) for v in values]
+    for v in exact:
+        if not 0 < v < top:
+            raise InputError("{name}s must lie in (0, {top:g}), got {value}", name=name, top=top, value=v)
+        if not 0 < float(v) < top:
+            raise InputError("{name} {v} leaves the double range: it rounds to {d:g}", name=name, v=v, d=float(v))
+    return [float(v) for v in exact]
+
+
 def similarity_dimension(ratios: Sequence) -> DimensionEstimate:
     """Exponent s solving sum(r_i^s) = 1 for contraction ratios in (0, 1).
 
@@ -71,9 +81,7 @@ def similarity_dimension(ratios: Sequence) -> DimensionEstimate:
     """
     if not ratios:
         raise InputError("need at least one contraction ratio")
-    vals = [float(Fraction(r)) for r in ratios]
-    if any(not (0 < r < 1) for r in vals):
-        raise InputError(f"ratios must lie in (0, 1), got {vals}")
+    vals = _doubles(ratios, "ratio", 1.0)
     if len(vals) == 1:
         return DimensionEstimate(method="similarity", value=0.0, residual=0.0)
 
@@ -125,7 +133,7 @@ def box_count(stage: StageSet, epsilon) -> int:
     """
     eps = Fraction(epsilon)
     if eps <= 0:
-        raise InputError(f"epsilon must be positive, got {eps}")
+        raise InputError("epsilon must be positive, got {eps}", eps=eps)
     k = aligned_level(eps, stage.spec.base)
     if k is not None:
         if k > stage.depth:
@@ -154,8 +162,10 @@ def _log_inv(eps: Fraction, base: int | None = None) -> float:
         return math.log(float(1 / eps))
     except (OverflowError, ValueError) as exc:  # 1/eps overflows or underflows a double
         k = aligned_level(eps, base) if base else None
-        shown = f"{base}^-{k}" if k is not None else f"{int_text(eps.numerator)}/{int_text(eps.denominator)}"
-        raise InputError(f"scale {shown} leaves the double range: every scale must keep 1/eps within it") from exc
+        scale = "scale {eps}" if k is None else "scale {base}^-{k}"
+        raise InputError(
+            scale + " leaves the double range: every scale must keep 1/eps within it", eps=eps, base=base, k=k
+        ) from exc
 
 
 def box_dimension_fit(stage: StageSet, scales: Sequence) -> DimensionEstimate:
@@ -169,14 +179,13 @@ def box_dimension_fit(stage: StageSet, scales: Sequence) -> DimensionEstimate:
     base = stage.spec.base
     eps_list = sorted({Fraction(e) for e in scales}, reverse=True)
     if len(eps_list) < 3:
-        raise InputError(f"need at least 3 distinct scales, got {len(eps_list)}")
+        raise InputError("need at least 3 distinct scales, got {n}", n=len(eps_list))
     if eps_list[-1] <= 0:
-        raise InputError(f"epsilon must be positive, got {eps_list[-1]}")
+        raise InputError("epsilon must be positive, got {eps}", eps=eps_list[-1])
     xs = [_log_inv(eps, base) for eps in eps_list]
     if xs[0] == xs[-1]:
         raise InputError(
-            f"the {len(eps_list)} scales share one log(1/eps) in double precision; "
-            "the fit needs two that differ"
+            "the {n} scales share one log(1/eps) in double precision; the fit needs two that differ", n=len(eps_list)
         )
     # an aligned scale is counted in closed form; each other scale
     # enumerates the whole stage once, and each interval costs arithmetic
@@ -192,6 +201,8 @@ def box_dimension_fit(stage: StageSet, scales: Sequence) -> DimensionEstimate:
         "{words}-word endpoints and scales, costs {amount} interval-words",
         intervals=stage.interval_count, words=words, scales=len(enumerated),
     )
+    import statistics  # only the fit needs it
+
     points = [(eps, box_count(stage, eps)) for eps in eps_list]
     ys = [math.log(n) for _, n in points]
     fit = statistics.linear_regression(xs, ys)
@@ -232,10 +243,8 @@ def multifractal_spectrum(ifs: GeneralIfsSpec, q_grid: Sequence[float]) -> list[
     weights = ifs.weights
     if weights is None:
         raise InputError("multifractal spectrum needs per-map weights")
-    probs = [float(w) for w in weights]
-    ratios = [float(r) for r in ifs.ratios]
-    if any(not (0 < r < 1) for r in ratios):
-        raise InputError(f"ratios must lie in (0, 1), got {ratios}")
+    ratios = _doubles(ifs.ratios, "ratio", 1.0)
+    probs = _doubles(weights, "weight")
     points = []
     for q in q_grid:
         try:
@@ -247,9 +256,7 @@ def multifractal_spectrum(ifs: GeneralIfsSpec, q_grid: Sequence[float]) -> list[
             t = _bisect_decreasing(lambda t: math.fsum(moments(t)) - 1.0, -1.0, 1.0)
             w = moments(t)
         except OverflowError as exc:
-            raise DomainError(
-                f"q = {q}: the moments p**q * r**tau overflow a double; use a smaller |q|"
-            ) from exc
+            raise DomainError("q = {q}: the moments p**q * r**tau overflow a double; use a smaller |q|", q=q) from exc
         alpha = math.fsum(wi * math.log(p) for wi, p in zip(w, probs)) / math.fsum(
             wi * math.log(r) for wi, r in zip(w, ratios)
         )

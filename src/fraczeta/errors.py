@@ -1,14 +1,55 @@
-"""Exception hierarchy shared by all fraczeta modules.
+"""Exception hierarchy shared by all fraczeta modules, and the one rule that shows a value in a message.
 
 Each class carries the CLI exit code its errors end with (see
 :mod:`fraczeta.cli`); subclasses inherit their category's code.
 """
 
+# a text value of more characters than this is cut to them in a message
+MAX_SHOWN_TEXT = 80
+
+
+def int_text(n: int) -> str:
+    """``n`` in decimal, or ``a N-digit number`` when it has more than 40 digits."""
+    if abs(n) < 10**40:
+        return str(n)
+    # 2**(bits - 1) <= |n| < 2**bits, so n has d or d + 1 digits
+    d = int((abs(n).bit_length() - 1) * 0.3010299956639812) + 1
+    return f"a {d + (abs(n) >= 10**d)}-digit number"
+
+
+def shown(value):
+    """``value`` as a message shows it: an int by :func:`int_text`, a Fraction as its numerator and
+    denominator each by :func:`int_text`, a float as it is (so a format spec applies), a file path or an
+    error of this package whole, and any other value as its ``str()`` with each run of more than 40 digits
+    as ``<a N-digit number>``, cut past ``MAX_SHOWN_TEXT`` characters and followed by its length."""
+    import os  # imported when an error is built, not with the package
+    import re
+    from fractions import Fraction
+
+    if isinstance(value, (os.PathLike, FraczetaError)):
+        return str(value)
+    if type(value) is int:
+        return int_text(value)
+    if isinstance(value, Fraction):
+        den = value.denominator
+        return int_text(value.numerator) + ("" if den == 1 else f"/{int_text(den)}")
+    if isinstance(value, float):
+        return value
+    text = str(value)
+    short = re.sub(r"\d{41,}", lambda m: f"<a {len(m.group())}-digit number>", text)
+    return short if len(short) <= MAX_SHOWN_TEXT else f"{short[:MAX_SHOWN_TEXT]}... ({len(text)} characters)"
+
 
 class FraczetaError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``message`` is a ``str.format`` template over ``values``, each shown by :func:`shown`.
+    """
 
     exit_code = 1
+
+    def __init__(self, message: str, **values):
+        super().__init__(message.format(**{k: shown(v) for k, v in values.items()}))
 
 
 class InputError(FraczetaError):
@@ -43,8 +84,8 @@ class AddressError(InputError):
         self.index = index
         self.size = size
         super().__init__(
-            f"address index {index} out of range at level {level} "
-            f"(retained set has {size} digits)"
+            "address index {index} out of range at level {level} (retained set has {size} digits)",
+            index=index, level=level, size=size,
         )
 
 

@@ -22,7 +22,7 @@ from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import AddressError, InputError, UnsupportedStructureError
-from .limits import DEFAULT_ENUMERATION_CAP, MAX_STAGE_BITS, check_work, int_text
+from .limits import DEFAULT_ENUMERATION_CAP, MAX_STAGE_BITS, check_work
 
 # StageSet.numerators builds the numerators of the deepest levels once, as a
 # list of at most this many integers, and shifts a copy of it per upper-level
@@ -43,14 +43,12 @@ NAMED_SPECS = {
 def _check_retained(base: int, digits: Sequence[int], level: str) -> tuple[int, ...]:
     out = tuple(sorted(set(int(d) for d in digits)))
     if not out:
-        raise InputError(f"retained set at {level} is empty")
+        raise InputError("retained set at {level} is empty", level=level)
     bad = [d for d in out if d < 0 or d >= base]
     if bad:
-        raise InputError(f"retained digit {int_text(bad[0])} at {level} not in 0..{int_text(base - 1)}")
+        raise InputError("retained digit {digit} at {level} not in 0..{top}", digit=bad[0], level=level, top=base - 1)
     if len(out) >= base:
-        raise InputError(
-            f"retained set at {level} keeps every digit; must be a strict subset"
-        )
+        raise InputError("retained set at {level} keeps every digit; must be a strict subset", level=level)
     return out
 
 
@@ -69,7 +67,7 @@ class GridSpec:
 
     def __post_init__(self):
         if self.base < 2:
-            raise InputError(f"base must be >= 2, got {int_text(self.base)}")
+            raise InputError("base must be >= 2, got {base}", base=self.base)
         if (self.constant is None) == (self.per_level is None):
             raise InputError("exactly one of constant/per_level must be given")
         if self.constant is not None:
@@ -95,13 +93,13 @@ class GridSpec:
     def retained_at(self, level: int) -> tuple[int, ...]:
         """Retained digit set at 1-based subdivision ``level``."""
         if level < 1:
-            raise InputError(f"level must be >= 1, got {level}")
+            raise InputError("level must be >= 1, got {level}", level=level)
         if self.constant is not None:
             return self.constant
         if level > len(self.per_level):
             raise InputError(
-                f"spec '{self.label}' provides {len(self.per_level)} levels, "
-                f"level {level} requested"
+                "spec '{label}' provides {levels} levels, level {level} requested",
+                label=self.label, levels=len(self.per_level), level=level,
             )
         return self.per_level[level - 1]
 
@@ -147,7 +145,7 @@ class GeneralIfsSpec:
             raise InputError("IFS needs at least one map")
         for m in self.maps:
             if not (0 < m.ratio <= 1):
-                raise InputError(f"ratio {m.ratio} not in (0, 1]")
+                raise InputError("ratio {ratio} not in (0, 1]", ratio=m.ratio)
         weights = [m.weight for m in self.maps]
         if any(w is not None for w in weights):
             if any(w is None for w in weights):
@@ -155,7 +153,7 @@ class GeneralIfsSpec:
             if any(w <= 0 for w in weights):
                 raise InputError("weights must be positive")
             if sum(weights) != 1:
-                raise InputError(f"weights sum to {sum(weights)}, expected 1")
+                raise InputError("weights sum to {total}, expected 1", total=sum(weights))
 
     @property
     def ratios(self) -> tuple[Fraction, ...]:
@@ -230,7 +228,7 @@ def make_pess_spec() -> GridSpec:
 def make_named_spec(name: str) -> GridSpec:
     """Look up one of the built-in constant-rule constructions."""
     if name not in NAMED_SPECS:
-        raise InputError(f"unknown set name {name!r}; valid names: {', '.join(NAMED_SPECS)}")
+        raise InputError("unknown set name {name!r}; valid names: {names}", name=name, names=", ".join(NAMED_SPECS))
     base, retained = NAMED_SPECS[name]
     return GridSpec(base=base, label=name, constant=retained)
 
@@ -252,7 +250,7 @@ def make_zf_spec(digits, label: str = "zf") -> GridSpec:
     for i, a in enumerate(seq, start=1):
         a = int(a)
         if a not in (0, 1, 2, 3):
-            raise InputError(f"digit {a} at position {i} not in 0..3")
+            raise InputError("digit {digit} at position {i} not in 0..3", digit=a, i=i)
         levels.append(tuple(sorted((a, (a + 2) % 4))))
     return GridSpec(base=4, label=label, per_level=tuple(levels))
 
@@ -260,11 +258,11 @@ def make_zf_spec(digits, label: str = "zf") -> GridSpec:
 def build_stage(spec: GridSpec, depth: int) -> StageSet:
     """Exact stage-``depth`` approximation of the spec's fractal."""
     if depth < 0:
-        raise InputError(f"depth must be >= 0, got {int_text(depth)}")
+        raise InputError("depth must be >= 0, got {depth}", depth=depth)
     if spec.max_depth is not None and depth > spec.max_depth:
         raise InputError(
-            f"spec '{spec.label}' has digits for {spec.max_depth} levels, "
-            f"stage {depth} requested"
+            "spec '{label}' has digits for {levels} levels, stage {depth} requested",
+            label=spec.label, levels=spec.max_depth, depth=depth,
         )
     check_work(
         spec.endpoint_bits(depth), MAX_STAGE_BITS, "stage {depth} of '{label}' has endpoints of {amount} bits",
@@ -290,9 +288,7 @@ def address_to_point(spec: GridSpec, address: Address) -> Fraction:
 def ifs_of_grid(spec: GridSpec, weights: Sequence[Fraction] | None = None) -> GeneralIfsSpec:
     """Contraction maps x -> x/b + d/b generating a constant-rule grid set."""
     if not spec.is_constant:
-        raise UnsupportedStructureError(
-            f"spec '{spec.label}' varies by level and has no single IFS"
-        )
+        raise UnsupportedStructureError("spec '{label}' varies by level and has no single IFS", label=spec.label)
     b = spec.base
     if weights is not None and len(weights) != len(spec.constant):
         raise InputError("one weight per retained digit required")
@@ -326,7 +322,7 @@ def apply_ifs_step(ifs: GeneralIfsSpec, intervals: Iterable[Interval]) -> IfsSte
         left = Fraction(left)
         right = Fraction(right)
         if right < left:
-            raise InputError(f"interval [{left}, {right}] is reversed")
+            raise InputError("interval [{left}, {right}] is reversed", left=left, right=right)
         for m in ifs.maps:
             images.append((m.ratio * left + m.offset, m.ratio * right + m.offset))
     ordered = sorted(images)
@@ -381,11 +377,11 @@ def self_similarity_check(
     """
     if not spec.is_constant:
         raise UnsupportedStructureError(
-            f"spec '{spec.label}' changes its retained set by level; "
-            "a single map family cannot reproduce it"
+            "spec '{label}' changes its retained set by level; a single map family cannot reproduce it",
+            label=spec.label,
         )
     if depth < 1:
-        raise InputError(f"depth must be >= 1, got {int_text(depth)}")
+        raise InputError("depth must be >= 1, got {depth}", depth=depth)
     ifs = ifs_of_grid(spec)
     build_stage(spec, 0).check_cap(cap)
     current = [0]

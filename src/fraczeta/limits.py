@@ -66,41 +66,17 @@ def check_work(amount, cap, what: str, **values) -> None:
     """Raise ``CapacityError`` when ``amount`` exceeds ``cap``.
 
     ``what`` describes the amount as a ``str.format`` template over
-    ``amount`` and ``values``.  It is filled in only when the check fails,
-    with each integer shown by :func:`int_text` and each text value by
-    :func:`label_text`.
+    ``amount`` and ``values``, which the error fills in only then.
     """
     if amount > cap:
-        shown = {
-            k: int_text(v) if type(v) is int else label_text(v) if type(v) is str else v
-            for k, v in {**values, "amount": amount}.items()
-        }
-        raise CapacityError(f"{what.format(**shown)}, above the cap {int_text(cap)}")
+        raise CapacityError(what + ", above the cap {cap}", amount=amount, cap=cap, **values)
 
 
 def check_precision(digits: int, floor: int = MIN_PRECISION_DIGITS) -> None:
     """Refuse a working precision below ``floor`` (``InputError``) or above ``MAX_PRECISION_DIGITS``."""
     if digits < floor:
-        raise InputError(f"precision_digits must be >= {floor}, got {int_text(digits)}")
+        raise InputError("precision_digits must be >= {floor}, got {digits}", floor=floor, digits=digits)
     check_work(digits, MAX_PRECISION_DIGITS, "precision of {amount} digits")
-
-
-def int_text(n: int) -> str:
-    """``n`` in decimal, or ``a N-digit number`` when it has more than 40 digits."""
-    if abs(n) < 10**40:
-        return str(n)
-    # 2**(bits - 1) <= |n| < 2**bits, so n has d or d + 1 digits
-    d = int((abs(n).bit_length() - 1) * 0.3010299956639812) + 1
-    return f"a {d + (abs(n) >= 10**d)}-digit number"
-
-
-def label_text(label: str) -> str:
-    """``label`` with each run of more than 40 digits shown as ``<a N-digit number>``.
-
-    A label such as ``mod<q>`` holds a user integer; the artifact keeps it
-    whole, a message shows it by the rule of :func:`int_text`.
-    """
-    return re.sub(r"\d{41,}", lambda m: f"<a {len(m.group())}-digit number>", label)
 
 
 def check_text_exponent(text: str) -> None:

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import InputError, SubcriticalRetentionWarning
-from .limits import MAX_BINOMIAL_COUNT, MAX_TRIAL_LEVELS, check_work, int_text
+from .limits import MAX_BINOMIAL_COUNT, MAX_TRIAL_LEVELS, check_work
 
 
 def expected_dimension(p: float) -> float:
@@ -27,7 +27,7 @@ def expected_dimension(p: float) -> float:
     positive and the process dies out almost surely.
     """
     if not (0 < p <= 1):
-        raise InputError(f"retention probability must be in (0, 1], got {p}")
+        raise InputError("retention probability must be in (0, 1], got {p}", p=p)
     value = predicted_dimension((p, p), 4)
     if 2 * p <= 1:
         warnings.warn(SubcriticalRetentionWarning(value))
@@ -52,13 +52,13 @@ class RetentionConfig:
 
     def __post_init__(self):
         if any(not (0 <= p <= 1) for p in self.probs):
-            raise InputError(f"probabilities must lie in [0, 1], got {self.probs}")
+            raise InputError("probabilities must lie in [0, 1], got {probs}", probs=self.probs)
         if self.depth < 1:
-            raise InputError(f"depth must be >= 1, got {int_text(self.depth)}")
+            raise InputError("depth must be >= 1, got {depth}", depth=self.depth)
         if self.trials < 1:
-            raise InputError(f"trials must be >= 1, got {int_text(self.trials)}")
+            raise InputError("trials must be >= 1, got {trials}", trials=self.trials)
         if self.base < 2:
-            raise InputError(f"base must be >= 2, got {int_text(self.base)}")
+            raise InputError("base must be >= 2, got {base}", base=self.base)
         if not (0 <= self.seed < 2**64):
             raise InputError("seed must be a 64-bit unsigned integer")
 

@@ -18,8 +18,6 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath as mp
-
 from .errors import InputError, ParseError
 from .limits import DEFAULT_BOUNDARY_TOL, DEFAULT_PRECISION_DIGITS, MIN_DIGITIZE_DPS, check_precision, check_text_exponent
 
@@ -49,7 +47,7 @@ class ZeroTable:
 class DigitEntry:
     n: int  # 1-based position in the table ordering
     gamma: str  # source text of the ordinate
-    t: mp.mpf  # frac(gamma / 2pi) at the working precision
+    t: object  # frac(gamma / 2pi) as an mpmath.mpf at the working precision
     a: int  # floor(4t), in 0..3
     boundary_flag: bool
 
@@ -89,9 +87,9 @@ def _data_lines(path, kind: str):
     try:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
-        raise InputError(f"cannot read {kind} file {p}: {exc}") from exc
+        raise InputError("cannot read {kind} file {p}: {exc}", kind=kind, p=p, exc=exc) from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{p}: {kind} file is not UTF-8 text: {exc}") from exc
+        raise ParseError("{p}: {kind} file is not UTF-8 text: {exc}", p=p, kind=kind, exc=exc) from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         token = raw.strip()
         if not token or token.startswith("#"):
@@ -99,7 +97,7 @@ def _data_lines(path, kind: str):
         try:
             check_text_exponent(token)
         except ValueError as exc:
-            raise ParseError(f"{p}: line {lineno}: {exc}") from exc
+            raise ParseError("{p}: line {n}: {exc}", p=p, n=lineno, exc=exc) from exc
         yield lineno, raw, token
 
 
@@ -116,13 +114,13 @@ def parse_zero_file(path) -> ZeroTable:
         try:
             value = Fraction(Decimal(token))
         except (InvalidOperation, ValueError, OverflowError) as exc:
-            raise ParseError(f"{p}: line {lineno}: not a decimal number: {raw!r}") from exc
+            raise ParseError("{p}: line {n}: not a decimal number: {raw!r}", p=p, n=lineno, raw=raw) from exc
         if value <= 0:
-            raise InputError(f"{p}: line {lineno}: ordinate must be positive, got {token}")
+            raise InputError("{p}: line {n}: ordinate must be positive, got {token}", p=p, n=lineno, token=token)
         gammas.append(value)
         strings.append(token)
     if not gammas:
-        raise InputError(f"{p}: no zero ordinates found")
+        raise InputError("{p}: no zero ordinates found", p=p)
     warning = None
     if any(b <= a for a, b in zip(gammas, gammas[1:])):
         warning = "ordinates are not strictly increasing; standard ordering not verified"
@@ -144,9 +142,11 @@ def digitize(
     An entry is boundary-flagged when |4t - nearest integer| < boundary_tol;
     those digits are the ones an input truncated at fewer decimals could flip.
     """
+    import mpmath as mp  # only digitizing needs it, so a reorder does not load it
+
     check_precision(precision_digits, MIN_DIGITIZE_DPS)
     if not 0 < boundary_tol < math.inf:
-        raise InputError(f"boundary_tol must be finite and positive, got {boundary_tol}")
+        raise InputError("boundary_tol must be finite and positive, got {tol}", tol=boundary_tol)
     entries = []
     with mp.workdps(precision_digits):
         two_pi = 2 * mp.pi
@@ -193,7 +193,7 @@ def reorder(table: ZeroTable, mode: str, seed: int | None = None) -> ZeroTable:
             raise InputError("random reorder needs a seed")
         random.Random(seed).shuffle(indices)  # Fisher-Yates under the hood
         return _permuted(table, indices, f"random(seed={seed})")
-    raise InputError(f"unknown reorder mode {mode!r}; use standard or random")
+    raise InputError("unknown reorder mode {mode!r}; use standard or random", mode=mode)
 
 
 def reorder_external_weights(table: ZeroTable, weights_path) -> ZeroTable:
@@ -207,22 +207,22 @@ def reorder_external_weights(table: ZeroTable, weights_path) -> ZeroTable:
     for lineno, raw, token in _data_lines(p, "weight"):
         parts = token.split()
         if len(parts) != 2:
-            raise ParseError(f"{p}: line {lineno}: expected 'index weight', got {raw!r}")
+            raise ParseError("{p}: line {n}: expected 'index weight', got {raw!r}", p=p, n=lineno, raw=raw)
         try:
             idx = int(parts[0])
             w = Fraction(Decimal(parts[1]))
         except (ValueError, InvalidOperation, OverflowError) as exc:
-            raise ParseError(f"{p}: line {lineno}: bad index/weight pair {raw!r}") from exc
+            raise ParseError("{p}: line {n}: bad index/weight pair {raw!r}", p=p, n=lineno, raw=raw) from exc
         if idx in weights:
-            raise InputError(f"{p}: line {lineno}: duplicate index {idx}")
+            raise InputError("{p}: line {n}: duplicate index {idx}", p=p, n=lineno, idx=idx)
         weights[idx] = w
     expected = set(range(1, len(table) + 1))
     if set(weights) != expected:
         missing = sorted(expected - set(weights))
         extra = sorted(set(weights) - expected)
         raise InputError(
-            f"{p}: weight indices must cover 1..{len(table)} exactly "
-            f"(missing {missing[:5]}, unexpected {extra[:5]})"
+            "{p}: weight indices must cover 1..{size} exactly (missing {missing}, unexpected {extra})",
+            p=p, size=len(table), missing=missing[:5], extra=extra[:5],
         )
     order = sorted(range(len(table)), key=lambda i: (weights[i + 1], i))
     return _permuted(table, order, f"external-weights({p})")
@@ -235,9 +235,7 @@ def digit_stats(digits) -> DigitStats:
     else:
         seq = [int(d) for d in digits]
     if len(seq) < 8:
-        raise InputError(
-            f"need at least 8 digits for the uniformity statistic, got {len(seq)}"
-        )
+        raise InputError("need at least 8 digits for the uniformity statistic, got {size}", size=len(seq))
     if any(d not in (0, 1, 2, 3) for d in seq):
         raise InputError("digits must lie in 0..3")
     counts = tuple(seq.count(d) for d in range(4))

@@ -36,7 +36,6 @@ from .limits import (
     check_precision,
     check_work,
     fraction_from_text,
-    int_text,
 )
 
 MAX_CORRECTION_K = 30
@@ -59,18 +58,10 @@ def _to_exact(s) -> Fraction:
     """Exact rational view of an argument given as int/float/str/Fraction."""
     if isinstance(s, Fraction):
         return s
-    if isinstance(s, (int, float, str)):
-        try:
-            return fraction_from_text(s) if isinstance(s, str) else Fraction(s)
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot interpret {s!r} as a real argument") from exc
-    if isinstance(s, mp.mpf):
-        if not mp.isfinite(s):
-            raise InputError(f"non-finite argument {s}")
-        sign, man, exp, _ = s._mpf_
-        exact = Fraction(man) * Fraction(2) ** exp
-        return -exact if sign else exact
-    raise InputError(f"cannot interpret {s!r} as a real argument")
+    try:
+        return fraction_from_text(s) if isinstance(s, str) else Fraction(s)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InputError("cannot interpret {s!r} as a real argument", s=s) from exc
 
 
 def _frac_to_mpf(x: Fraction) -> mp.mpf:
@@ -155,22 +146,17 @@ def zeta_euler_maclaurin(
     if s_exact == 1:
         raise PoleError("zeta has a pole at s = 1")
     if s_exact <= 0:
-        raise DomainError(
-            f"s = {s_exact} is out of range; evaluate via the functional "
-            "equation for arguments <= 0"
-        )
+        raise DomainError("s = {s} is out of range; evaluate via the functional equation for arguments <= 0", s=s_exact)
     if s_exact > MAX_ZETA_S:
-        raise DomainError(f"s > {MAX_ZETA_S} is out of range: zeta(s) - 1 < 2^(1-s) there")
+        raise DomainError("s > {top} is out of range: zeta(s) - 1 < 2^(1-s) there", top=MAX_ZETA_S)
     if correction_K is None:
         correction_K = MAX_CORRECTION_K
     if terms_N is not None:
         if terms_N < 2:
-            raise InputError(f"terms_N must be >= 2, got {int_text(terms_N)}")
+            raise InputError("terms_N must be >= 2, got {n}", n=terms_N)
         check_work(terms_N, MAX_ZETA_TERMS, "terms_N = {amount}")
     if not (1 <= correction_K <= MAX_CORRECTION_K):
-        raise InputError(
-            f"correction_K must be in 1..{MAX_CORRECTION_K}, got {int_text(correction_K)}"
-        )
+        raise InputError("correction_K must be in 1..{top}, got {k}", top=MAX_CORRECTION_K, k=correction_K)
     check_precision(precision_digits)
 
     with mp.workdps(precision_digits + _GUARD):
@@ -207,7 +193,7 @@ def gamma_real(x, precision_digits: int = DEFAULT_PRECISION_DIGITS) -> mp.mpf:
     """Gamma(x) for real x > 0, evaluated with guard digits and then rounded."""
     x_exact = _to_exact(x)
     if x_exact <= 0:
-        raise DomainError(f"gamma_real needs x > 0, got {x_exact}")
+        raise DomainError("gamma_real needs x > 0, got {x}", x=x_exact)
     check_precision(precision_digits)
     with mp.workdps(precision_digits + _GUARD):
         result = mp.gamma(_frac_to_mpf(x_exact))
@@ -230,7 +216,7 @@ def functional_equation_residual(
     """
     s_exact = _to_exact(s)
     if not (0 < s_exact < 1):
-        raise DomainError(f"functional equation checked on (0, 1) only, got {s_exact}")
+        raise DomainError("functional equation checked on (0, 1) only, got {s}", s=s_exact)
     left = zeta_euler_maclaurin(s_exact, terms_N, correction_K, precision_digits).value
     right = zeta_euler_maclaurin(1 - s_exact, terms_N, correction_K, precision_digits).value
     gamma = gamma_real(1 - s_exact, precision_digits)

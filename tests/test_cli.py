@@ -382,6 +382,8 @@ def _reject_constant(name):
 
 
 NINES = "9" * 4000
+# with the exponent, the most digits that pass the text guard; Python prints no integer of more than 4300
+NINES_4299 = "9" * 4299
 
 # (argv, environment, exit code); ZEROS stands for the shipped zero file,
 # INF_ZEROS for a zero file with an 'inf' line, HUGE_ZEROS and HUGE_WEIGHTS
@@ -513,6 +515,23 @@ EXIT_CASES = [
                  InputError.exit_code, id="perturb --p 0.5 --depth -9...9 (4000 digits) --trials 1 --seed 1"),
     pytest.param(["construct", "--modq", NINES, "--keep", "1", "--depth", "1"], {}, CapacityError.exit_code,
                  id="construct --modq 9...9 (4000 digits) --keep 1 --depth 1"),
+    # a ratio or weight is checked as an exact fraction before it becomes a double, which would underflow to 0.0
+    pytest.param(["dimension", "--modq", NINES, "--keep", "1"], {}, InputError.exit_code,
+                 id="dimension --modq 9...9 (4000 digits) --keep 1"),
+    (["multifractal", "--ratios", "1e-400,1/2", "--weights", "1/2,1/2", "--q", "1"], {}, InputError.exit_code),
+    pytest.param(["multifractal", "--ratios", "1/4,1/4", "--weights", "2e-400,0." + "9" * 399 + "8", "--q=-1"], {},
+                 InputError.exit_code, id="multifractal --ratios 1/4,1/4 --weights 2e-400,0.9...98 (1 - 2e-400) --q=-1"),
+    # a ratio below 1 that rounds to the double 1.0 would leave every moment constant
+    pytest.param(["multifractal", "--ratios", "0." + "9" * 20, "--weights", "1", "--q", "1"], {},
+                 InputError.exit_code, id="multifractal --ratios 0.9...9 (20 nines) --weights 1 --q 1"),
+    pytest.param(["multifractal", "--ratios", "0." + "9" * 20 + ",1/2", "--weights", "1/2,1/2", "--q", "0"], {},
+                 InputError.exit_code, id="multifractal --ratios 0.9...9 (20 nines),1/2 --weights 1/2,1/2 --q 0"),
+    # a fraction of more digits than Python prints is shown by its digit counts
+    pytest.param(["dimension", "pess", "--method", "boxcount", "--depth", "4", f"--scales=-{NINES_4299}e1000,1/2,1/4"],
+                 {}, InputError.exit_code, id="dimension pess --method boxcount --depth 4 --scales=-9...9e1000,1/2,1/4"),
+    pytest.param(["zeta", f"--s=-{NINES_4299}e1000"], {}, DomainError.exit_code, id="zeta --s=-9...9e1000"),
+    pytest.param(["multifractal", "--ratios", f"{NINES_4299}e1000,1/4", "--weights", "1/2,1/2", "--q", "1"], {},
+                 InputError.exit_code, id="multifractal --ratios 9...9e1000,1/4 --weights 1/2,1/2 --q 1"),
 ]
 
 # an error exit is reached within this many seconds
@@ -599,6 +618,57 @@ def test_errors_show_a_long_integer_by_its_digit_count(capsys, argv, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv,env,message",
+    [
+        (["construct", "--modq", "6", "--keep", "x" + NINES, "--depth", "1"], {},
+         "--keep: cannot parse 'x<a 4000-digit number>'"),
+        (["perturb", "--bias", "0.5,0.5," + NINES, "--depth", "3", "--trials", "1", "--seed", "1"], {},
+         "--bias: cannot parse '0.5,0.5,<a 4000-digit number>'"),
+        (["zeta", "--s", "x" + NINES], {}, "cannot interpret 'x<a 4000-digit number>' as a real argument"),
+        (["zeta", "--s", "-" + NINES], {},
+         "s = a 4000-digit number is out of range; evaluate via the functional equation for arguments <= 0"),
+        (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q-range=0:x" + NINES + ":1"], {},
+         "--q-range: cannot parse '0:x<a 4000-digit number>:1'"),
+        (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q-range=0:1:1:" + NINES], {},
+         "--q-range must be START:STOP:STEP, got '0:1:1:<a 4000-digit number>'"),
+        (["construct", "pess", "--depth", "1"], {"FRACZETA_PRECISION": "x" + NINES},
+         "FRACZETA_PRECISION must be an integer, got 'x<a 4000-digit number>'"),
+        (["construct", "x" * 4000, "--depth", "1"], {},
+         f"unknown set name '{'x' * 80}... (4000 characters)'; valid names: pess, cantor13, classic-cantor, mod6, mod8"),
+        (["multifractal", "--ratios", "2" + NINES + ",1/4", "--weights", "1/2,1/2", "--q", "1"], {},
+         "ratio a 4001-digit number not in (0, 1]"),
+        (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/" + NINES + ",1/2", "--q", "1"], {},
+         "weights sum to a 4001-digit number/a 4001-digit number, expected 1"),
+        (["dimension", "pess", "--method", "boxcount", "--depth", "4", f"--scales=-{NINES_4299}e1000,1/2,1/4"], {},
+         "epsilon must be positive, got a 5299-digit number"),
+        (["multifractal", "--ratios", f"{NINES_4299}e1000,1/4", "--weights", "1/2,1/2", "--q", "1"], {},
+         "ratio a 5299-digit number not in (0, 1]"),
+        (["dimension", "--modq", NINES, "--keep", "1"], {},
+         "ratio 1/a 4000-digit number leaves the double range: it rounds to 0"),
+        (["multifractal", "--ratios", "1e-400,1/2", "--weights", "1/2,1/2", "--q", "1"], {},
+         "ratio 1/a 401-digit number leaves the double range: it rounds to 0"),
+        (["multifractal", "--ratios", "1/4,1/4", "--weights", "2e-400,0." + "9" * 399 + "8", "--q=-1"], {},
+         "weight 1/a 400-digit number leaves the double range: it rounds to 0"),
+    ],
+    ids=["keep", "bias", "zeta text", "zeta integer", "q-range field", "q-range parts", "precision", "set name",
+         "ratio", "weight", "scale fraction", "ratio fraction", "modq ratio", "ratio underflow", "weight underflow"],
+)
+def test_errors_show_a_long_text_by_its_digit_runs_and_its_length(capsys, monkeypatch, argv, env, message):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main(argv) in (InputError.exit_code, DomainError.exit_code)
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_long_bad_line_is_cut_in_its_parse_error(capsys, tmp_path):
+    bad = tmp_path / "zeros.txt"
+    bad.write_text("14.134725141734693\n" + "x" * 4000 + "\n")
+    assert main(["zeros", "stats", "--file", str(bad)]) == ParseError.exit_code
+    line = f"error: {bad}: line 2: not a decimal number: '{'x' * 80}... (4000 characters)'\n"
+    assert capsys.readouterr() == ("", line)
+
+
 def test_the_label_of_a_long_modulus_stays_whole_in_the_artifact(capsys):
     payload = run_json(capsys, ["construct", "--modq", NINES, "--keep", "1", "--depth", "0"])
     assert payload["result"]["label"] == "mod" + NINES
@@ -666,13 +736,13 @@ _ANALYTIC = {"mpmath", "fraczeta.zeta", "fraczeta.zeros", "fraczeta.cardinality"
     "argv,unloaded",
     [
         (["construct", "pess", "--depth", "3"], _ANALYTIC),
-        (["dimension", "pess", "--method", "similarity"], _ANALYTIC),
+        (["dimension", "pess", "--method", "similarity"], _ANALYTIC | {"statistics"}),
         (["dimension", "cantor13", "--method", "boxcount", "--depth", "6"], _ANALYTIC),
-        (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", "0,1,2"], _ANALYTIC),
+        (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", "0,1,2"], _ANALYTIC | {"statistics"}),
         (["perturb", "--p", "0.75", "--depth", "6", "--trials", "5", "--seed", "7"], _ANALYTIC),
         (
             ["zeros", "reorder", "--file", "ZEROS", "--mode", "random", "--seed", "11"],
-            {"fraczeta.cardinality", "fraczeta.zeta", "fraczeta.dimension", "fraczeta.montecarlo"},
+            {"mpmath", "fraczeta.cardinality", "fraczeta.zeta", "fraczeta.dimension", "fraczeta.montecarlo"},
         ),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,

@@ -1,12 +1,14 @@
 """In-process fuzzing of the command line: every drawn argv ends in a documented way.
 
 An argv is drawn from a grammar of subcommands and flags, each flag taking
-a valid, an edge or a garbage value.  File arguments name the shipped zero
-file, malformed data files (an ``inf`` line, a huge exponent, bytes that
-are not UTF-8, an empty file, a directory, a missing path), and outputs
-that can or cannot be written.  Each run must exit 0, 2, 3, 4, 5 or 6;
-exit 0 writes strict JSON, or the documented CSV or table, and an error
-ends with exactly one ``error:`` line of bounded length.
+a valid, an edge or a garbage value, and so is ``FRACZETA_PRECISION``.  The
+edges of every text value include texts of thousands of characters and
+digits.  File arguments name the shipped zero file, malformed data files
+(an ``inf`` line, a huge exponent, a 4000-character line, bytes that are
+not UTF-8, an empty file, a directory, a missing path), and outputs that
+can or cannot be written.  Each run must exit 0, 2, 3, 4, 5 or 6, never 1
+or a traceback; exit 0 writes strict JSON, or the documented CSV or table,
+and an error ends with exactly one ``error:`` line of bounded length.
 
 Valid values lie well inside the caps of :mod:`fraczeta.limits`; values
 past a cap are drawn to check that the run is refused at once.  A valid
@@ -34,16 +36,20 @@ DATA_DIR = Path(__file__).parent / "data"
 # every drawn run ends within this many seconds
 BUDGET_S = 5.0
 
-# An error line has at most this many characters once each file path in it
-# is shown as its token; a path is echoed as given, so its length is not
-# bounded here.  The longest line the suite produces is argparse's refusal
-# of an unknown command, which lists all ten; the longest of fraczeta's own
-# that the grammar can draw, the box-counting cap of ``--modq 10**30`` at
-# depth 30, has 175.
+# An error line has at most this many characters once each file path in it,
+# which a message shows whole, is shown as its token.  The longest line the suite
+# produces is argparse's refusal of an unknown command, which lists all ten;
+# the longest of fraczeta's own that the grammar can draw, an unknown set
+# name of 4000 characters cut to 80, has 184.
 MAX_ERROR_LINE = 189
 
 # an integer of 4000 digits, which argparse reads and every message must abbreviate
 NINES = "9" * 4000
+
+# Texts every message must bound: 4000 characters of garbage, a digit run of
+# 4000 after a letter, and a number that passes the exponent guard but has
+# more digits than Python prints.
+LONG_TEXTS = ["x/,:;e-#" * 500, "x" + NINES, "-" + "9" * 4299 + "e1000"]
 
 # A process argument cannot hold a NUL byte, so the drawn text holds none.
 GARBAGE = st.one_of(
@@ -78,7 +84,7 @@ def fixed(*args):
     return st.just(list(args))
 
 
-DATA_FILES = values(["@ZEROS"], ["@INF_ZEROS", "@HUGE_ZEROS", "@NOT_UTF8", "@EMPTY", "@DIR", "@MISSING"])
+DATA_FILES = values(["@ZEROS"], ["@INF_ZEROS", "@HUGE_ZEROS", "@LONG_LINE", "@NOT_UTF8", "@EMPTY", "@DIR", "@MISSING"])
 WEIGHT_FILES = values(["@WEIGHTS"], ["@HUGE_WEIGHTS", "@NOT_UTF8", "@DIR", "@MISSING"])
 OUT = opt("--out", values(["@OUT"], ["@NO_DIR/out", "@DIR"]))
 SIDE_PATHS = values(["@SIDE"], ["@NO_DIR/side.csv", "@DIR"])
@@ -87,11 +93,14 @@ SEED = values([1, 11], [-1, 2**64])
 CATALOG_NAMES = values(["pess", "cantor13", "zf", "unit-interval", "cantor", "trivial-zeros"], ["nope"])
 
 SET_CHOICES = st.one_of(
-    values(["pess", "cantor13", "classic-cantor", "mod6", "mod8"], ["wat"]).map(lambda n: [n]),
+    # argparse reads a positional that starts with '-' as an unknown option, so it never names a set
+    values(
+        ["pess", "cantor13", "classic-cantor", "mod6", "mod8"], ["wat", *(t for t in LONG_TEXTS if t[0] != "-")]
+    ).map(lambda n: [n]),
     req("--zeros", DATA_FILES),
     argv_of(
         req("--modq", values([6, 8, 10**30], [1, 0, -3, NINES])),
-        req("--keep", values(["1,5", "1,3,5,7", "1"], ["0,1,2,3,4,5", "9", "-1", "1,x"])),
+        req("--keep", values(["1,5", "1,3,5,7", "1"], ["0,1,2,3,4,5", "9", "-1", "1,x", *LONG_TEXTS])),
     ),
 )
 # one set, else none or two of them
@@ -129,6 +138,7 @@ DIMENSION = argv_of(
             [
                 "1/2", "0,1/2,1/4", "-1/2,1/4,1/8", "1/0,1/2", "1e-400,1/4,1/16", "1e400,1/4,1/16",
                 "1e9999999,1/4,1/16", ",".join(f"1/{10**999 + k}" for k in range(16)),
+                *(f"{text},1/2,1/4" for text in LONG_TEXTS),
             ],
         ),
     ),
@@ -138,7 +148,7 @@ DIMENSION = argv_of(
 )
 ZETA = argv_of(
     fixed("zeta"),
-    req("--s", values([0.5, 2, "2/3", 3, "1e-30", 10**6], [1, 0, -0.5, 10**6 + 1, "1e400"])),
+    req("--s", values([0.5, 2, "2/3", 3, "1e-30", 10**6], [1, 0, -0.5, 10**6 + 1, "1e400", *LONG_TEXTS])),
     opt("--terms", values([10, 50, 1000], [2, 100_001, 0, -5, 10**30])),
     opt("--k", values([1, 4, 30], [31, 0, -1])),
     DIGITS,
@@ -178,7 +188,7 @@ PERTURB = argv_of(
     # exactly one of --p and --bias is valid
     st.one_of(
         req("--p", values([0, 0.25, 0.5, 0.75, 1], [1.5, -0.1])),
-        req("--bias", values(["0.6,0.9", "1,1", "0,0"], ["0.5", "x,0.5", "nan,0.5", "2,0"])),
+        req("--bias", values(["0.6,0.9", "1,1", "0,0"], ["0.5", "x,0.5", "nan,0.5", "2,0", *LONG_TEXTS])),
         argv_of(opt("--p", values([0.5])), opt("--bias", values(["0.6,0.9"]))),
     ),
     req("--depth", values([1, 3, 12, 64, 70], [0, -1, 1_000_001, "-" + NINES])),
@@ -191,14 +201,22 @@ PERTURB = argv_of(
 )
 MULTIFRACTAL = argv_of(
     fixed("multifractal"),
-    req("--ratios", values(["1/4,1/4", "1/2,1/3", "1/3,1/5,1/7"], ["0,1/2", "1,1/2", "1/4", "-1/4,1/4", "1e9999999,1/4"])),
-    req("--weights", values(["1/2,1/2", "1/3,2/3", "1/4,1/4,1/2"], ["1", "0,1", "1/2,1/3", "1e-9999999,1/2"])),
+    req("--ratios", values(
+        ["1/4,1/4", "1/2,1/3", "1/3,1/5,1/7"],
+        ["0,1/2", "1,1/2", "1/4", "-1/4,1/4", "1e9999999,1/4", "1e-400,1/2", "0." + "9" * 20,
+         "0." + "9" * 20 + ",1/2", *(f"{t},1/4" for t in LONG_TEXTS)],
+    )),
+    req("--weights", values(
+        ["1/2,1/2", "1/3,2/3", "1/4,1/4,1/2"],
+        ["1", "0,1", "1/2,1/3", "1e-9999999,1/2", "2e-400,0." + "9" * 399 + "8", *(f"{t},1/2" for t in LONG_TEXTS)],
+    )),
     # exactly one of --q and --q-range is needed
     st.one_of(
-        req("--q", values(["0,1,2.5", "-10,10"], ["1e6", "-1e6", "1e300", ""])),
+        req("--q", values(["0,1,2.5", "-10,10"], ["1e6", "-1e6", "1e300", "", *LONG_TEXTS])),
         req("--q-range", values(
             ["-5:5:0.5", "-10:10:1/100", "0:0:1"],
-            ["1:0:1", "0:1:0", "0:1:1e-6", "0:1", "0:1e9999999:1", "1e400:1e400:1"],
+            ["1:0:1", "0:1:0", "0:1:1e-6", "0:1", "0:1e9999999:1", "1e400:1e400:1", *LONG_TEXTS,
+             *(f"0:{t}:1" for t in LONG_TEXTS), *(f"0:1:1:{t}" for t in LONG_TEXTS)],
         )),
     ),
     DIGITS,
@@ -211,6 +229,10 @@ ARGV = argv_of(
     ),
     st.sampled_from([[]] * 18 + [["--bogus"], ["extra"]]),
 )
+# FRACZETA_PRECISION is set in one run in four
+PRECISION = st.integers(0, 3).flatmap(
+    lambda i: values([30, 50], [5, 10**8, *LONG_TEXTS]) if i == 0 else st.none()
+)
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +243,7 @@ def files(tmp_path_factory):
     contents = {
         "inf_zeros.txt": b"14.134725141734693\ninf\n",
         "huge_zeros.txt": b"14.134725141734693\n1e999999\n",
+        "long_line.txt": b"14.134725141734693\n" + b"x/,:;e-#" * 500 + b"\n",
         "not_utf8.txt": b"\xff\xfe",
         "empty.txt": b"",
         "weights.txt": "".join(f"{i} {i * 37 % 101}\n" for i in range(1, 101)).encode(),
@@ -233,6 +256,7 @@ def files(tmp_path_factory):
         "@ZEROS": root / "zeros.txt",
         "@INF_ZEROS": root / "inf_zeros.txt",
         "@HUGE_ZEROS": root / "huge_zeros.txt",
+        "@LONG_LINE": root / "long_line.txt",
         "@NOT_UTF8": root / "not_utf8.txt",
         "@EMPTY": root / "empty.txt",
         "@WEIGHTS": root / "weights.txt",
@@ -319,9 +343,12 @@ def run(argv):
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="the time budget needs SIGALRM")
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(ARGV)
-def test_every_argv_ends_in_a_documented_way(monkeypatch, files, argv):
-    monkeypatch.delenv("FRACZETA_PRECISION", raising=False)
+@given(ARGV, PRECISION)
+def test_every_argv_ends_in_a_documented_way(monkeypatch, files, argv, precision):
+    if precision is None:
+        monkeypatch.delenv("FRACZETA_PRECISION", raising=False)
+    else:
+        monkeypatch.setenv("FRACZETA_PRECISION", precision)
     monkeypatch.chdir(files["@DIR"])  # garbage output paths land here
     for token in ("@OUT", "@SIDE"):
         files[token].unlink(missing_ok=True)

@@ -131,6 +131,14 @@ class TestSimilarityDimension:
         with pytest.raises(InputError):
             similarity_dimension([F(0)])
 
+    def test_a_ratio_that_rounds_to_one_is_refused(self):
+        near_one = F(10**20 - 1, 10**20)
+        message = "ratio 99999999999999999999/100000000000000000000 leaves the double range: it rounds to 1"
+        with pytest.raises(InputError, match=f"^{message}$"):
+            similarity_dimension([near_one, F(1, 2)])
+        with pytest.raises(InputError, match=f"^{message}$"):
+            multifractal_spectrum(GeneralIfsSpec(maps=(IfsMap(near_one, F(0), F(1)),)), [1.0])
+
 
 class TestBoxCount:
     def test_unit_interval_tenths(self):

@@ -1,9 +1,12 @@
-"""The work check and how its messages show integers."""
+"""The work check, and how a message shows its values."""
+
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from fraczeta.errors import CapacityError
-from fraczeta.limits import check_work, int_text
+from fraczeta.errors import MAX_SHOWN_TEXT, CapacityError, InputError, int_text, shown
+from fraczeta.limits import check_work
 
 
 @pytest.mark.parametrize("k", [4301, 4302, 5000])
@@ -27,3 +30,27 @@ def test_check_work_fills_its_message_in_only_when_it_fails():
         check_work(5, 3, "stage {depth} of '{label}' has {amount} intervals", depth=2, label="x{y}")
     with pytest.raises(CapacityError, match="^a 8601-digit number items, above the cap 1$"):
         check_work(10**8600, 1, "{amount} items")
+
+
+def test_a_fraction_shows_its_numerator_and_denominator_by_the_integer_rule():
+    assert shown(Fraction(-3, 4)) == "-3/4"
+    assert shown(Fraction(7)) == "7"
+    assert shown(Fraction(1, 10**400)) == "1/a 401-digit number"
+    assert shown(Fraction(-(10**5000), 3)) == "a 5001-digit number/3"
+
+
+def test_a_float_keeps_its_format_spec_and_a_text_is_bounded():
+    assert str(InputError("q = {q:.2f}, got {q!r}", q=0.125)) == "q = 0.12, got 0.125"
+    assert shown(True) == "True"
+    assert shown("mod" + "9" * 41 + "x" + "1" * 40) == "mod<a 41-digit number>x" + "1" * 40
+    assert shown("x" * MAX_SHOWN_TEXT) == "x" * MAX_SHOWN_TEXT
+    assert shown("y" * 5000) == "y" * MAX_SHOWN_TEXT + "... (5000 characters)"
+    assert str(InputError("cannot parse {text!r}", text="a'" * 3)) == "cannot parse \"a'a'a'\""
+
+
+def test_a_path_and_an_error_are_shown_whole():
+    exc = InputError("depth {depth} of '{label}'", depth=10**50, label="x{y}" + "z" * 100)
+    assert str(exc).startswith("depth a 51-digit number of 'x{y}zz")
+    assert str(InputError("{error}; note", error=exc)) == f"{exc}; note"
+    path = Path("d" * 100, "f" + "9" * 50)
+    assert str(InputError("cannot read {p}", p=path)) == f"cannot read {path}"

@@ -2,6 +2,8 @@
 
 import ast
 import os
+import re
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -79,19 +81,92 @@ def test_only_limits_reads_the_precision_bounds(path):
     assert name_uses(source, "MIN_PRECISION_DIGITS") + name_uses(source, "MAX_PRECISION_DIGITS") == []
 
 
-def formatted_check_work_labels(source: str) -> list[int]:
-    """Lines where ``check_work`` is given an f-string as ``what``.
+def error_classes(source: str) -> set[str]:
+    """``FraczetaError`` and the name of every class ``source`` derives from it."""
+    names = {"FraczetaError"}
+    for node in ast.walk(ast.parse(source)):  # a class comes after its bases
+        if isinstance(node, ast.ClassDef) and any(getattr(base, "id", None) in names for base in node.bases):
+            names.add(node.name)
+    return names
 
-    ``check_work`` fills ``what`` in with ``str.format``, so an f-string that
-    interpolates text holding a brace fails there instead of naming the cap.
+
+ERROR_CLASSES = error_classes((PACKAGE / "errors.py").read_text())
+
+
+def message_faults(source: str, classes=ERROR_CLASSES) -> list[str]:
+    """``line N: fault`` for each error message that is not a template filled in by keyword.
+
+    A message is the first argument given to an error class, or to
+    ``super().__init__`` inside one, and the ``what`` of ``check_work``,
+    which also fills in ``amount`` and ``cap``.  ``FraczetaError`` shows each
+    keyword value by one rule before it fills the template in, so a message
+    built beforehand, by f-string, ``%`` or ``.format``, skips that rule,
+    and a field with no keyword fails when the error is built.
     """
-    lines = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "check_work":
-            what = [kw.value for kw in node.keywords if kw.arg == "what"] + node.args[2:3]
-            if any(isinstance(arg, ast.JoinedStr) for arg in what):
-                lines.append(node.lineno)
-    return lines
+    faults = []
+
+    def check(call, owner):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        is_super = name == "__init__" and getattr(getattr(call.func, "value", None), "func", None) is not None
+        if name in classes or (is_super and owner in classes - {"FraczetaError"}):
+            message, given = call.args[:1], set()
+        elif name == "check_work":
+            message, given = [kw.value for kw in call.keywords if kw.arg == "what"] + call.args[2:3], {"amount", "cap"}
+        else:
+            return
+        given |= {kw.arg for kw in call.keywords if kw.arg and kw.value not in message}
+        for node in (n for arg in message for n in ast.walk(arg)):
+            if isinstance(node, ast.JoinedStr):
+                faults.append(f"line {call.lineno}: f-string")
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+                faults.append(f"line {call.lineno}: % formatting")
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "format":
+                faults.append(f"line {call.lineno}: .format")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for field in (f for _, f, _, _ in string.Formatter().parse(node.value) if f is not None):
+                    if re.split(r"[.\[]", field)[0] not in given:
+                        faults.append(f"line {call.lineno}: {{{field}}} has no keyword")
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                check(child, owner)
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    visit(ast.parse(source), None)
+    return faults
+
+
+def test_message_check_finds_each_fault():
+    source = (
+        'raise InputError(f"got {n}")\n'
+        'raise errors.ParseError("line %d" % n)\n'
+        'raise DomainError("s = {}".format(s))\n'
+        'raise InputError("got {n} of {m}", n=n)\n'
+        'check_work(n, CAP, f"{n} items")\n'
+        'limits.check_work(n, CAP, what="{amount} of {what}")\n'
+        'raise InputError("{n!r} in {x.y} at {z[0]}, above {cap}", n=n, x=x, z=z)\n'
+        'class AddressError(InputError):\n'
+        '    def __init__(self, n):\n'
+        '        super().__init__(f"index {n}")\n'
+        'class FraczetaError(Exception):\n'
+        '    def __init__(self, message, **values):\n'
+        '        super().__init__(message.format(**values))\n'
+        'raise InputError("{n} items", n=n)\n'
+        'check_work(n, CAP, "{amount} items, above {cap}", k=k)\n'
+        'raise ValueError(f"got {n}")\n'
+    )
+    assert message_faults(source) == [
+        "line 1: f-string",
+        "line 2: % formatting",
+        "line 3: .format",
+        "line 3: {} has no keyword",
+        "line 4: {m} has no keyword",
+        "line 5: f-string",
+        "line 6: {what} has no keyword",
+        "line 7: {cap} has no keyword",
+        "line 10: f-string",
+    ]
 
 
 def test_label_check_finds_an_f_string():
@@ -100,12 +175,22 @@ def test_label_check_finds_an_f_string():
         'limits.check_work(n, CAP, what=f"{n} items")\n'
         'check_work(n, CAP, "{amount} items", n=f"{n}")\n'
     )
-    assert formatted_check_work_labels(source) == [1, 2]
+    assert message_faults(source) == ["line 1: f-string", "line 2: f-string"]
 
 
+# Every error message, and each check_work label, is a template whose values
+# FraczetaError shows by one rule.
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_check_work_labels_are_templates(path):
-    assert formatted_check_work_labels(path.read_text()) == []
+    assert message_faults(path.read_text()) == []
+
+
+# errors.shown is the one rule that shows a value in a message; label_text was its text half.
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "errors.py"), ids=lambda p: p.name)
+def test_only_errors_shows_message_values(path):
+    source = path.read_text()
+    assert name_uses(source, "int_text") + name_uses(source, "label_text") == []
+    assert "import" not in name_uses(source, "shown")
 
 
 def open_callers(source: str) -> list[str]:
