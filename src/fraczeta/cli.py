@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .errors import FraczetaError, InputError
+from .errors import FraczetaError, InputError, usage_text
 from .grids import (
     GeneralIfsSpec,
     GridSpec,
@@ -481,8 +481,8 @@ def cmd_perturb(args, digits: int) -> None:
 
 
 def _parse_q_grid(args) -> list[float]:
-    if args.q:
-        return _parse_list(args.q, "--q", _finite_float)
+    if q := _parse_list(args.q or "", "--q", _finite_float):
+        return q
     if not args.q_range:
         raise InputError("give --q LIST or --q-range START:STOP:STEP")
     parts = args.q_range.split(":")
@@ -521,8 +521,15 @@ def cmd_multifractal(args, digits: int) -> None:
     _emit_json(args, manifest, [asdict(p) for p in points])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, each subcommand's too, whose usage errors show their message by ``errors.usage_text``."""
+
+    def error(self, message):
+        super().error(usage_text(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fraczeta",
         description="Exact digit-grid fractals, dimensions, zeta values, and "
         "zero digitization",

@@ -76,8 +76,9 @@ def _doubles(values: Sequence, name: str, top: float = math.inf) -> list[float]:
 def similarity_dimension(ratios: Sequence) -> DimensionEstimate:
     """Exponent s solving sum(r_i^s) = 1 for contraction ratios in (0, 1).
 
-    Equal ratios take the closed form log N / log(1/r), cross-checked
-    against the bisection root; unequal ratios use bisection alone.
+    Equal ratios take the closed form log N / -log(r), cross-checked
+    against the bisection root to a relative BISECTION_TOL; unequal
+    ratios use bisection alone.
     """
     if not ratios:
         raise InputError("need at least one contraction ratio")
@@ -90,12 +91,10 @@ def similarity_dimension(ratios: Sequence) -> DimensionEstimate:
 
     root = _bisect_decreasing(excess, 0.0, 1.0)
     if all(r == vals[0] for r in vals):
-        closed = math.log(len(vals)) / math.log(1 / vals[0])
-        if abs(closed - root) > BISECTION_TOL:
-            raise ArithmeticError(
-                f"closed form {closed} and bisection {root} disagree beyond "
-                f"{BISECTION_TOL}"
-            )
+        # -log(r) keeps the digits of 1 - r that 1 / r rounds away
+        closed = math.log(len(vals)) / -math.log(vals[0])
+        if abs(closed - root) > BISECTION_TOL * closed:
+            raise ArithmeticError(f"closed form {closed} and bisection {root} differ beyond a relative {BISECTION_TOL}")
         root = closed
     return DimensionEstimate(
         method="similarity", value=root, residual=abs(excess(root))

@@ -1,7 +1,7 @@
-"""Exception hierarchy shared by all fraczeta modules, and the one rule that shows a value in a message.
+"""Exception hierarchy shared by all fraczeta modules, and the one rule that shows a user value on stderr.
 
-Each class carries the CLI exit code its errors end with (see
-:mod:`fraczeta.cli`); subclasses inherit their category's code.
+Each class carries the CLI exit code its errors end with (see :mod:`fraczeta.cli`); subclasses inherit
+their category's code.  The command line's usage errors (exit 2) follow the rule too, by :func:`usage_text`.
 """
 
 # a text value of more characters than this is cut to them in a message
@@ -9,19 +9,19 @@ MAX_SHOWN_TEXT = 80
 
 
 def int_text(n: int) -> str:
-    """``n`` in decimal, or ``a N-digit number`` when it has more than 40 digits."""
+    """``n`` in decimal, or ``a N-digit number`` (``a negative N-digit number`` below 0) past 40 digits."""
     if abs(n) < 10**40:
         return str(n)
     # 2**(bits - 1) <= |n| < 2**bits, so n has d or d + 1 digits
     d = int((abs(n).bit_length() - 1) * 0.3010299956639812) + 1
-    return f"a {d + (abs(n) >= 10**d)}-digit number"
+    return f"a {'negative ' * (n < 0)}{d + (abs(n) >= 10**d)}-digit number"
 
 
 def shown(value):
-    """``value`` as a message shows it: an int by :func:`int_text`, a Fraction as its numerator and
-    denominator each by :func:`int_text`, a float as it is (so a format spec applies), a file path or an
-    error of this package whole, and any other value as its ``str()`` with each run of more than 40 digits
-    as ``<a N-digit number>``, cut past ``MAX_SHOWN_TEXT`` characters and followed by its length."""
+    """``value`` as a message shows it: an int by :func:`int_text`, a Fraction as its numerator and denominator
+    each by :func:`int_text`, a float as it is (so a format spec applies), a file path or an error of this package
+    whole, and any other value as its ``str()`` with each run of more than 40 digits as ``<a N-digit number>``,
+    cut past ``MAX_SHOWN_TEXT`` characters as ``repr``, and so a template's ``!r``, prints them, then its length."""
     import os  # imported when an error is built, not with the package
     import re
     from fractions import Fraction
@@ -37,7 +37,14 @@ def shown(value):
         return value
     text = str(value)
     short = re.sub(r"\d{41,}", lambda m: f"<a {len(m.group())}-digit number>", text)
-    return short if len(short) <= MAX_SHOWN_TEXT else f"{short[:MAX_SHOWN_TEXT]}... ({len(text)} characters)"
+    n = max(i for i in range(MAX_SHOWN_TEXT + 1) if len(repr(short[:i])) - 2 <= MAX_SHOWN_TEXT)
+    return short if n >= len(short) else f"{short[:n]}... ({len(text)} characters)"
+
+
+def usage_text(message: str) -> str:
+    """An argparse usage error's ``message``, the arguments it echoes included, shown as one text by :func:`shown`,
+    less argparse's list of choices: the usage line printed above the message shows that whole."""
+    return shown(message.rpartition(" (choose from ")[0] or message)
 
 
 class FraczetaError(Exception):

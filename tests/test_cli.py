@@ -32,6 +32,7 @@ from fraczeta.errors import (
     UnsupportedStructureError,
 )
 from fraczeta.limits import MAX_Q_POINTS, fraction_from_text
+from test_cli_fuzz import MAX_ERROR_LINE
 
 
 def run_json(capsys, argv):
@@ -532,6 +533,20 @@ EXIT_CASES = [
     pytest.param(["zeta", f"--s=-{NINES_4299}e1000"], {}, DomainError.exit_code, id="zeta --s=-9...9e1000"),
     pytest.param(["multifractal", "--ratios", f"{NINES_4299}e1000,1/4", "--weights", "1/2,1/2", "--q", "1"], {},
                  InputError.exit_code, id="multifractal --ratios 9...9e1000,1/4 --weights 1/2,1/2 --q 1"),
+    # argparse's usage errors (exit 2) show what they echo by the message rule too: digit runs
+    # collapsed, long texts cut; the choices are left to the usage line above the error line
+    pytest.param(["construct", f"-{NINES_4299}e1000", "--depth", "1"], {}, 2, id="construct -9...9e1000 --depth 1"),
+    pytest.param(["construct", "pess", "--depth", "9" * 5000], {}, 2, id="construct pess --depth 9...9 (5000 digits)"),
+    pytest.param(["construct", "pess", "--depth", "1", "--tol", "x" * 4000], {}, 2,
+                 id="construct pess --depth 1 --tol x...x (4000 characters)"),
+    pytest.param(["zeros", "digitize", "--file", "ZEROS", "--mode", "x" * 4000], {}, 2,
+                 id="zeros digitize --file ZEROS --mode x...x (4000 characters)"),
+    pytest.param(["x" * 4000], {}, 2, id="x...x (4000 characters)"),
+    # a text is bounded as a template's !r prints it, escapes included
+    pytest.param(["zeta", "--s", "\x01" * 4000], {}, InputError.exit_code,
+                 id="zeta --s \\x01...\\x01 (4000 characters)"),
+    # a --q list of no values ends as a missing one does
+    (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", ","], {}, InputError.exit_code),
 ]
 
 # an error exit is reached within this many seconds
@@ -555,7 +570,11 @@ def test_exit_codes(capsys, monkeypatch, tmp_path, zeros_path, argv, env, code):
     argv = [files.get(a, a) for a in argv]
     argv = [a.replace("NO_DIR/", files["NO_DIR"] + "/") for a in argv]
     start = time.perf_counter()
-    assert main(argv) == code
+    try:
+        returned = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        returned = exc.code
+    assert returned == code
     elapsed = time.perf_counter() - start
     out, err = capsys.readouterr()
     if code == 0:
@@ -563,7 +582,14 @@ def test_exit_codes(capsys, monkeypatch, tmp_path, zeros_path, argv, env, code):
         json.loads(out, parse_constant=_reject_constant)
     else:
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        if code == 2:  # argparse's usage lines, then one error line; its wording varies across Python versions
+            assert err.count("error:") == 1 and ": error: " in err.splitlines()[-1], err
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        line = err.splitlines()[-1]
+        for name, path in sorted(files.items(), key=lambda item: -len(item[1])):
+            line = line.replace(path, name)
+        assert len(line) <= MAX_ERROR_LINE, line
         assert elapsed < ERROR_BUDGET_S
 
 
@@ -595,19 +621,21 @@ def test_boxcount_scale_errors_name_the_scale_and_the_default_depths(capsys, arg
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["construct", "pess", "--depth", "-" + NINES], "depth must be >= 0, got a 4000-digit number"),
-        (["construct", "pess", "--depth", "1", "--cap", "-" + NINES], "--cap must be >= 0, got a 4000-digit number"),
+        (["construct", "pess", "--depth", "-" + NINES], "depth must be >= 0, got a negative 4000-digit number"),
+        (["construct", "pess", "--depth", "1", "--cap", "-" + NINES],
+         "--cap must be >= 0, got a negative 4000-digit number"),
         (["perturb", "--p", "0.5", "--depth", "-" + NINES, "--trials", "1", "--seed", "1"],
-         "depth must be >= 1, got a 4000-digit number"),
+         "depth must be >= 1, got a negative 4000-digit number"),
         (["perturb", "--p", "0.5", "--depth", "1", "--trials", "1", "--seed", "1", "--base", "-" + NINES],
-         "base must be >= 2, got a 4000-digit number"),
+         "base must be >= 2, got a negative 4000-digit number"),
         (["construct", "--modq", "-" + NINES, "--keep", "1", "--depth", "1"],
-         "base must be >= 2, got a 4000-digit number"),
+         "base must be >= 2, got a negative 4000-digit number"),
         (["construct", "--modq", NINES, "--keep", "-1", "--depth", "1"],
          "retained digit -1 at all levels not in 0..a 4000-digit number"),
         (["construct", "--modq", NINES, "--keep", "1", "--depth", "1"],
          "stage 1 of 'mod<a 4000-digit number>' has endpoints of 13288 bits, above the cap 12000"),
-        (["zeta", "--s", "2", "--terms", "-" + NINES], "terms_N must be >= 2, got a 4000-digit number"),
+        (["zeta", "--s", "2", "--terms", "-" + NINES],
+         "terms_N must be >= 2, got a negative 4000-digit number"),
         (["zeta", "--s", "2", "--k", NINES], "correction_K must be in 1..30, got a 4000-digit number"),
     ],
     ids=["construct depth", "construct cap", "perturb depth", "perturb base", "modq base", "modq keep",
@@ -627,7 +655,7 @@ def test_errors_show_a_long_integer_by_its_digit_count(capsys, argv, message):
          "--bias: cannot parse '0.5,0.5,<a 4000-digit number>'"),
         (["zeta", "--s", "x" + NINES], {}, "cannot interpret 'x<a 4000-digit number>' as a real argument"),
         (["zeta", "--s", "-" + NINES], {},
-         "s = a 4000-digit number is out of range; evaluate via the functional equation for arguments <= 0"),
+         "s = a negative 4000-digit number is out of range; evaluate via the functional equation for arguments <= 0"),
         (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q-range=0:x" + NINES + ":1"], {},
          "--q-range: cannot parse '0:x<a 4000-digit number>:1'"),
         (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q-range=0:1:1:" + NINES], {},
@@ -641,7 +669,7 @@ def test_errors_show_a_long_integer_by_its_digit_count(capsys, argv, message):
         (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/" + NINES + ",1/2", "--q", "1"], {},
          "weights sum to a 4001-digit number/a 4001-digit number, expected 1"),
         (["dimension", "pess", "--method", "boxcount", "--depth", "4", f"--scales=-{NINES_4299}e1000,1/2,1/4"], {},
-         "epsilon must be positive, got a 5299-digit number"),
+         "epsilon must be positive, got a negative 5299-digit number"),
         (["multifractal", "--ratios", f"{NINES_4299}e1000,1/4", "--weights", "1/2,1/2", "--q", "1"], {},
          "ratio a 5299-digit number not in (0, 1]"),
         (["dimension", "--modq", NINES, "--keep", "1"], {},
@@ -659,6 +687,22 @@ def test_errors_show_a_long_text_by_its_digit_runs_and_its_length(capsys, monkey
         monkeypatch.setenv(key, value)
     assert main(argv) in (InputError.exit_code, DomainError.exit_code)
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,choices",
+    [
+        (["bogus"], "construct,dimension,zeta,zeros,compare,catalog,conservation,axioms,perturb,multifractal"),
+        (["zeros", "digitize", "--file", "f", "--mode", "bad"], "as-is,standard,random,external"),
+        (["zeros", "digitize", "--file", "f", "--mode", "x" * 4000], "as-is,standard,random,external"),
+    ],
+    ids=["command", "mode", "long mode"],
+)
+def test_a_usage_error_still_shows_every_valid_choice(capsys, argv, choices):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"{{{choices}}}" in capsys.readouterr().err
 
 
 def test_a_long_bad_line_is_cut_in_its_parse_error(capsys, tmp_path):

@@ -2,11 +2,12 @@
 
 An argv is drawn from a grammar of subcommands and flags, each flag taking
 a valid, an edge or a garbage value, and so is ``FRACZETA_PRECISION``.  The
-edges of every text value include texts of thousands of characters and
-digits.  File arguments name the shipped zero file, malformed data files
-(an ``inf`` line, a huge exponent, a 4000-character line, bytes that are
-not UTF-8, an empty file, a directory, a missing path), and outputs that
-can or cannot be written.  Each run must exit 0, 2, 3, 4, 5 or 6, never 1
+edges of every text value, of every flag that argparse reads as a number or
+a choice, of the command and of a trailing extra argument include texts of
+thousands of characters and digits.  File arguments name the shipped zero
+file, malformed data files (an ``inf`` line, a huge exponent, a
+4000-character line, bytes that are not UTF-8, an empty file, a directory,
+a missing path), and outputs that can or cannot be written.  Each run must exit 0, 2, 3, 4, 5 or 6, never 1
 or a traceback; exit 0 writes strict JSON, or the documented CSV or table,
 and an error ends with exactly one ``error:`` line of bounded length.
 
@@ -37,10 +38,9 @@ DATA_DIR = Path(__file__).parent / "data"
 BUDGET_S = 5.0
 
 # An error line has at most this many characters once each file path in it,
-# which a message shows whole, is shown as its token.  The longest line the suite
-# produces is argparse's refusal of an unknown command, which lists all ten;
-# the longest of fraczeta's own that the grammar can draw, an unknown set
-# name of 4000 characters cut to 80, has 184.
+# which a message shows whole, is shown as its token.  The longest the grammar
+# can draw, an unknown set name of 4000 characters cut to 80, has 184; an
+# argparse usage error shows its message as one text cut to 80 characters.
 MAX_ERROR_LINE = 189
 
 # an integer of 4000 digits, which argparse reads and every message must abbreviate
@@ -50,6 +50,12 @@ NINES = "9" * 4000
 # 4000 after a letter, and a number that passes the exponent guard but has
 # more digits than Python prints.
 LONG_TEXTS = ["x/,:;e-#" * 500, "x" + NINES, "-" + "9" * 4299 + "e1000"]
+
+# What no number flag or choice reads: the long texts, and an integer of more digits than Python reads.
+UNREADABLE = [*LONG_TEXTS, "9" * 5000]
+
+# 4000 characters that a template's !r prints as 16000
+CONTROL = "\x01" * 4000
 
 # A process argument cannot hold a NUL byte, so the drawn text holds none.
 GARBAGE = st.one_of(
@@ -88,19 +94,17 @@ DATA_FILES = values(["@ZEROS"], ["@INF_ZEROS", "@HUGE_ZEROS", "@LONG_LINE", "@NO
 WEIGHT_FILES = values(["@WEIGHTS"], ["@HUGE_WEIGHTS", "@NOT_UTF8", "@DIR", "@MISSING"])
 OUT = opt("--out", values(["@OUT"], ["@NO_DIR/out", "@DIR"]))
 SIDE_PATHS = values(["@SIDE"], ["@NO_DIR/side.csv", "@DIR"])
-DIGITS = opt("--digits", values([20, 30, 50, 1000], [-1, 0, 19, 1001, 10**8]))
-SEED = values([1, 11], [-1, 2**64])
+DIGITS = opt("--digits", values([20, 30, 50, 1000], [-1, 0, 19, 1001, 10**8, *UNREADABLE]))
+SEED = values([1, 11], [-1, 2**64, *UNREADABLE])
 CATALOG_NAMES = values(["pess", "cantor13", "zf", "unit-interval", "cantor", "trivial-zeros"], ["nope"])
 
 SET_CHOICES = st.one_of(
-    # argparse reads a positional that starts with '-' as an unknown option, so it never names a set
-    values(
-        ["pess", "cantor13", "classic-cantor", "mod6", "mod8"], ["wat", *(t for t in LONG_TEXTS if t[0] != "-")]
-    ).map(lambda n: [n]),
+    # argparse reads a positional that starts with '-', such as the third long text, as an unknown option
+    values(["pess", "cantor13", "classic-cantor", "mod6", "mod8"], ["wat", *LONG_TEXTS]).map(lambda n: [n]),
     req("--zeros", DATA_FILES),
     argv_of(
-        req("--modq", values([6, 8, 10**30], [1, 0, -3, NINES])),
-        req("--keep", values(["1,5", "1,3,5,7", "1"], ["0,1,2,3,4,5", "9", "-1", "1,x", *LONG_TEXTS])),
+        req("--modq", values([6, 8, 10**30], [1, 0, -3, NINES, *UNREADABLE])),
+        req("--keep", values(["1,5", "1,3,5,7", "1"], ["0,1,2,3,4,5", "9", "-1", "1,x", *LONG_TEXTS, CONTROL])),
     ),
 )
 # one set, else none or two of them
@@ -111,25 +115,25 @@ SET_CHOICE = st.integers(0, 9).flatmap(
 )
 SET_FLAGS = argv_of(
     SET_CHOICE,
-    opt("--order", values(["standard", "random"])),
+    opt("--order", values(["standard", "random"], UNREADABLE)),
     opt("--seed", SEED),
-    opt("--tol", values([1e-3, 1e-6], [0, -1])),
+    opt("--tol", values([1e-3, 1e-6], [0, -1, *UNREADABLE])),
 )
-DEPTH = values([0, 1, 2, 3, 5], [-1, 21, 30, 10**6, 10**30, "-" + NINES])
+DEPTH = values([0, 1, 2, 3, 5], [-1, 21, 30, 10**6, 10**30, "-" + NINES, *UNREADABLE])
 
 CONSTRUCT = argv_of(
     fixed("construct"),
     SET_FLAGS,
     req("--depth", DEPTH),
-    opt("--format", values(["json", "csv"])),
-    opt("--cap", values([100, 2**20], [-5, 0, 1, "-" + NINES])),
+    opt("--format", values(["json", "csv"], UNREADABLE)),
+    opt("--cap", values([100, 2**20], [-5, 0, 1, "-" + NINES, *UNREADABLE])),
     DIGITS,
     OUT,
 )
 DIMENSION = argv_of(
     fixed("dimension"),
     SET_FLAGS,
-    opt("--method", values(["similarity", "boxcount"])),
+    opt("--method", values(["similarity", "boxcount"], UNREADABLE)),
     opt("--depth", DEPTH),
     opt(
         "--scales",
@@ -148,21 +152,21 @@ DIMENSION = argv_of(
 )
 ZETA = argv_of(
     fixed("zeta"),
-    req("--s", values([0.5, 2, "2/3", 3, "1e-30", 10**6], [1, 0, -0.5, 10**6 + 1, "1e400", *LONG_TEXTS])),
-    opt("--terms", values([10, 50, 1000], [2, 100_001, 0, -5, 10**30])),
-    opt("--k", values([1, 4, 30], [31, 0, -1])),
+    req("--s", values([0.5, 2, "2/3", 3, "1e-30", 10**6], [1, 0, -0.5, 10**6 + 1, "1e400", *LONG_TEXTS, CONTROL])),
+    opt("--terms", values([10, 50, 1000], [2, 100_001, 0, -5, 10**30, *UNREADABLE])),
+    opt("--k", values([1, 4, 30], [31, 0, -1, *UNREADABLE])),
     DIGITS,
     OUT,
 )
 ZEROS = argv_of(
     fixed("zeros"),
-    values(["digitize", "stats", "reorder"], ["nope"]).map(lambda c: [c]),
+    values(["digitize", "stats", "reorder"], ["nope", *UNREADABLE]).map(lambda c: [c]),
     req("--file", DATA_FILES),
-    opt("--mode", values(["as-is", "standard", "random", "external"])),
+    opt("--mode", values(["as-is", "standard", "random", "external"], UNREADABLE)),
     opt("--seed", SEED),
     opt("--weights", WEIGHT_FILES),
-    opt("--tol", values([1e-3, 1e-6], [0, -1, 1])),
-    opt("--format", values(["csv", "json"])),
+    opt("--tol", values([1e-3, 1e-6], [0, -1, 1, *UNREADABLE])),
+    opt("--format", values(["csv", "json"], UNREADABLE)),
     DIGITS,
     OUT,
 )
@@ -174,11 +178,11 @@ COMPARE = argv_of(
     DIGITS,
     OUT,
 )
-CATALOG = argv_of(fixed("catalog"), opt("--format", values(["json", "table"])), DIGITS, OUT)
+CATALOG = argv_of(fixed("catalog"), opt("--format", values(["json", "table"], UNREADABLE)), DIGITS, OUT)
 CONSERVATION = argv_of(
     fixed("conservation"),
     opt("--zeros", DATA_FILES),
-    opt("--format", values(["json", "table"])),
+    opt("--format", values(["json", "table"], UNREADABLE)),
     DIGITS,
     OUT,
 )
@@ -187,14 +191,14 @@ PERTURB = argv_of(
     fixed("perturb"),
     # exactly one of --p and --bias is valid
     st.one_of(
-        req("--p", values([0, 0.25, 0.5, 0.75, 1], [1.5, -0.1])),
+        req("--p", values([0, 0.25, 0.5, 0.75, 1], [1.5, -0.1, *UNREADABLE])),
         req("--bias", values(["0.6,0.9", "1,1", "0,0"], ["0.5", "x,0.5", "nan,0.5", "2,0", *LONG_TEXTS])),
         argv_of(opt("--p", values([0.5])), opt("--bias", values(["0.6,0.9"]))),
     ),
-    req("--depth", values([1, 3, 12, 64, 70], [0, -1, 1_000_001, "-" + NINES])),
-    req("--trials", values([1, 5, 20], [0, -1, 10**8])),
+    req("--depth", values([1, 3, 12, 64, 70], [0, -1, 1_000_001, "-" + NINES, *UNREADABLE])),
+    req("--trials", values([1, 5, 20], [0, -1, 10**8, *UNREADABLE])),
     req("--seed", SEED),
-    opt("--base", values([2, 4, 10**30], [1, 0])),
+    opt("--base", values([2, 4, 10**30], [1, 0, *UNREADABLE])),
     opt("--per-trial", SIDE_PATHS),
     DIGITS,
     OUT,
@@ -225,9 +229,12 @@ MULTIFRACTAL = argv_of(
 ARGV = argv_of(
     st.one_of(
         CONSTRUCT, DIMENSION, ZETA, ZEROS, COMPARE, CATALOG, CONSERVATION, AXIOMS, PERTURB, MULTIFRACTAL,
-        fixed(), fixed("nope"),
+        fixed(), values(["nope"], UNREADABLE).map(lambda c: [c]),
     ),
-    st.sampled_from([[]] * 18 + [["--bogus"], ["extra"]]),
+    # an extra argument one time in ten
+    st.integers(0, 9).flatmap(
+        lambda i: st.sampled_from(["--bogus", "extra", *UNREADABLE]).map(lambda t: [t]) if i == 0 else st.just([])
+    ),
 )
 # FRACZETA_PRECISION is set in one run in four
 PRECISION = st.integers(0, 3).flatmap(

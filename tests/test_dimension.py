@@ -112,6 +112,17 @@ class TestSimilarityDimension:
             closed = math.log(n) / math.log(1 / float(r))
             assert abs(est.value - closed) < 1e-12
 
+    @pytest.mark.parametrize(
+        "ratio,n",
+        [(F("0.99"), 7), (F("0.999999"), 2), (F("0.999999"), 5), (1 - F(1, 10**10), 2), (1 - F(1, 10**10), 3)],
+    )
+    def test_equal_ratios_near_one_match_mpmath(self, ratio, n):
+        # dimensions from 193 to 10^10: the closed form must keep the digits of 1 - r,
+        # and the bisection must agree with it to a relative tolerance
+        with mp.workdps(40):
+            expected = float(mp.log(n) / -mp.log(mp.mpf(float(ratio))))
+        assert similarity_dimension([ratio] * n).value == pytest.approx(expected, rel=1e-15)
+
     def test_monotone_in_ratio(self):
         rng = random.Random(11)
         for _ in range(100):

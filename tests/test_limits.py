@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fraczeta.errors import MAX_SHOWN_TEXT, CapacityError, InputError, int_text, shown
+from fraczeta.errors import MAX_SHOWN_TEXT, CapacityError, InputError, int_text, shown, usage_text
 from fraczeta.limits import check_work
 
 
@@ -13,7 +13,7 @@ from fraczeta.limits import check_work
 def test_int_text_gives_an_unprintable_integer_its_exact_digit_count(k):
     assert int_text(10**k - 1) == f"a {k}-digit number"
     assert int_text(10**k) == f"a {k + 1}-digit number"
-    assert int_text(-(10**k)) == f"a {k + 1}-digit number"
+    assert int_text(-(10**k)) == f"a negative {k + 1}-digit number"
 
 
 def test_int_text_prints_an_integer_python_can_print():
@@ -36,7 +36,7 @@ def test_a_fraction_shows_its_numerator_and_denominator_by_the_integer_rule():
     assert shown(Fraction(-3, 4)) == "-3/4"
     assert shown(Fraction(7)) == "7"
     assert shown(Fraction(1, 10**400)) == "1/a 401-digit number"
-    assert shown(Fraction(-(10**5000), 3)) == "a 5001-digit number/3"
+    assert shown(Fraction(-(10**5000), 3)) == "a negative 5001-digit number/3"
 
 
 def test_a_float_keeps_its_format_spec_and_a_text_is_bounded():
@@ -54,3 +54,24 @@ def test_a_path_and_an_error_are_shown_whole():
     assert str(InputError("{error}; note", error=exc)) == f"{exc}; note"
     path = Path("d" * 100, "f" + "9" * 50)
     assert str(InputError("cannot read {p}", p=path)) == f"cannot read {path}"
+
+
+def test_a_text_is_bounded_as_its_repr_prints_it():
+    assert shown("\x01" * (MAX_SHOWN_TEXT // 4)) == "\x01" * (MAX_SHOWN_TEXT // 4)
+    assert shown("\x01" * (MAX_SHOWN_TEXT // 4 + 1)) == "\x01" * (MAX_SHOWN_TEXT // 4) + "... (21 characters)"
+    message = str(InputError("cannot parse {text!r}", text="\x01" * 4000))
+    assert message == "cannot parse '" + "\\x01" * (MAX_SHOWN_TEXT // 4) + "... (4000 characters)'"
+
+
+def test_a_usage_message_is_one_text_without_its_choices():
+    assert usage_text("argument --mode: invalid choice: 'bad' (choose from 'as-is', 'random')") == (
+        "argument --mode: invalid choice: 'bad'"
+    )
+    assert usage_text("argument --depth: invalid int value: '-" + "9" * 5000 + "'") == (
+        "argument --depth: invalid int value: '-<a 5000-digit number>'"
+    )
+    long = "unrecognized arguments: " + "x" * 4000
+    assert usage_text(long) == long[:MAX_SHOWN_TEXT] + f"... ({len(long)} characters)"
+    assert usage_text("the following arguments are required: --depth") == (
+        "the following arguments are required: --depth"
+    )
