@@ -1,9 +1,9 @@
 """Command-line surface for the package.
 
-One executable, one subcommand per capability, JSON or CSV output with a
-run manifest embedded in every artifact.  Numeric payloads are
-locale-independent and byte-identical across reruns with the same
-parameters (timestamps live only in the manifest).
+One executable, one subcommand per capability.  JSON and CSV artifacts carry
+the run manifest, a CSV as its leading ``# manifest:`` line; text tables do
+not.  Numeric payloads are locale-independent and byte-identical across
+reruns with the same parameters (timestamps live only in the manifest).
 
 Exit codes: 0 success, 2 usage (argparse), 3 input error, 4 capacity
 error, 5 domain error, 6 parse error, 1 unexpected failure.
@@ -16,8 +16,8 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import asdict
-from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,35 +68,32 @@ def _manifest(args, digits: int, **extra) -> dict:
         "seed": getattr(args, "seed", None),
         "precision_digits": digits,
         "tool_version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
     }
 
 
-def _manifest_comment(manifest: dict) -> str:
-    """The manifest as the text of a CSV artifact's leading '#' comment."""
-    return f"manifest: {json.dumps(manifest, allow_nan=False)}"
-
-
-def _write(path: str | None, flag: str, write) -> None:
+def _write(path: str | None, flag: str, write, manifest: dict | None = None) -> None:
     """Call ``write`` on the file at ``path``, given by ``flag``, or on stdout when no path is given.
 
-    Every artifact goes through here once its run has passed every check,
-    so a refused run opens no file.  A path that cannot be written is an
-    input error naming the flag.
+    Every artifact goes through here once its run has passed every check, so a refused run opens no
+    file.  A given ``manifest`` comes first, as a CSV's ``# manifest: <JSON>`` line.  A path that
+    cannot be written is an input error naming the flag.
     """
+    head = "" if manifest is None else f"# manifest: {json.dumps(manifest, allow_nan=False)}\n"
     if not path:
+        sys.stdout.write(head)
         return write(sys.stdout)
     try:
         with open(path, "w") as fp:
+            fp.write(head)
             write(fp)
     except OSError as exc:
         raise InputError("{flag}: cannot write {path}: {exc}", flag=flag, path=Path(path), exc=exc) from exc
 
 
 def _write_lines(path: str | None, flag: str, lines, manifest: dict | None = None) -> None:
-    """Write ``lines``, each ended by a newline, after the manifest comment when ``manifest`` is given."""
-    head = [] if manifest is None else [f"# {_manifest_comment(manifest)}"]
-    _write(path, flag, lambda fp: fp.writelines(f"{line}\n" for line in [*head, *lines]))
+    """Write ``lines``, each ended by a newline, after the manifest line when ``manifest`` is given."""
+    _write(path, flag, lambda fp: fp.writelines(f"{line}\n" for line in lines), manifest)
 
 
 def _emit_json(args, manifest: dict, result) -> None:
@@ -187,7 +184,7 @@ def cmd_construct(args, digits: int) -> None:
     if args.format == "json":
         _write(args.out, "--out", lambda fp: write_stage_json(stage, fp, manifest))
     else:
-        _write(args.out, "--out", lambda fp: write_stage_csv(stage, fp, [_manifest_comment(manifest)]))
+        _write(args.out, "--out", lambda fp: write_stage_csv(stage, fp), manifest)
 
 
 def _deepest_default_depth(base: int) -> int:
@@ -202,7 +199,7 @@ def _deepest_default_depth(base: int) -> int:
 
 
 def cmd_dimension(args, digits: int) -> None:
-    from .dimension import box_dimension_fit, similarity_dimension, write_fit_points_csv
+    from .dimension import box_dimension_fit, fit_point_rows, similarity_dimension
 
     spec = _spec_from_args(args, digits)
     manifest = _manifest(args, digits, label=spec.label)
@@ -226,8 +223,7 @@ def cmd_dimension(args, digits: int) -> None:
                 note = "{error}; without --scales the fit uses {b}^-1..{b}^-depth, which needs 3 <= --depth <= {top}"
                 raise InputError(note, error=exc, b=b, top=_deepest_default_depth(b)) from exc
         if args.points_csv:
-            comments = [_manifest_comment(manifest)]
-            _write(args.points_csv, "--points-csv", lambda fp: write_fit_points_csv(est, fp, comments))
+            _write_lines(args.points_csv, "--points-csv", fit_point_rows(est), manifest)
         result = {
             "method": est.method,
             "label": spec.label,

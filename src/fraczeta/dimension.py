@@ -218,18 +218,14 @@ def box_dimension_fit(stage: StageSet, scales: Sequence) -> DimensionEstimate:
     )
 
 
-def write_fit_points_csv(estimate: DimensionEstimate, fp, comments: Sequence[str] = ()) -> None:
-    """Plot-ready CSV of the regression sample: epsilon, count, and their logs."""
+def fit_point_rows(estimate: DimensionEstimate) -> list[str]:
+    """Plot-ready CSV lines of the regression sample: a header, then epsilon, count, and their logs."""
     if estimate.sample_points is None:
         raise InputError("estimate carries no sample points (similarity method?)")
-    for line in comments:
-        fp.write(f"# {line}\n")
-    fp.write("epsilon,count,log_inv_eps,log_count\n")
-    for eps, count in estimate.sample_points:
-        fp.write(
-            f"{eps.numerator}/{eps.denominator},{count},"
-            f"{_log_inv(eps)!r},{math.log(count)!r}\n"
-        )
+    return ["epsilon,count,log_inv_eps,log_count"] + [
+        f"{eps.numerator}/{eps.denominator},{count},{_log_inv(eps)!r},{math.log(count)!r}"
+        for eps, count in estimate.sample_points
+    ]
 
 
 def multifractal_spectrum(ifs: GeneralIfsSpec, q_grid: Sequence[float]) -> list[MultifractalPoint]:

@@ -22,7 +22,7 @@ from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import AddressError, InputError, UnsupportedStructureError
-from .limits import DEFAULT_ENUMERATION_CAP, MAX_STAGE_BITS, check_work
+from .limits import DEFAULT_ENUMERATION_CAP, MAX_STAGE_BITS, as_integer, check_work
 
 # StageSet.numerators builds the numerators of the deepest levels once, as a
 # list of at most this many integers, and shifts a copy of it per upper-level
@@ -41,7 +41,7 @@ NAMED_SPECS = {
 
 
 def _check_retained(base: int, digits: Sequence[int], level: str) -> tuple[int, ...]:
-    out = tuple(sorted(set(int(d) for d in digits)))
+    out = tuple(sorted({as_integer(d, f"retained digit at {level}") for d in digits}))
     if not out:
         raise InputError("retained set at {level} is empty", level=level)
     bad = [d for d in out if d < 0 or d >= base]
@@ -66,6 +66,7 @@ class GridSpec:
     per_level: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "base", as_integer(self.base, "base"))
         if self.base < 2:
             raise InputError("base must be >= 2, got {base}", base=self.base)
         if (self.constant is None) == (self.per_level is None):
@@ -240,15 +241,12 @@ def make_zf_spec(digits, label: str = "zf") -> GridSpec:
     or a plain iterable of integers in 0..3.  The spec is finite: it
     supports stages no deeper than the number of digits supplied.
     """
-    if hasattr(digits, "digits"):
-        seq = list(digits.digits())
-    else:
-        seq = list(digits)
+    seq = list(digits.digits() if hasattr(digits, "digits") else digits)
     if not seq:
         raise InputError("empty digit sequence")
     levels = []
     for i, a in enumerate(seq, start=1):
-        a = int(a)
+        a = as_integer(a, f"digit at position {i}")
         if a not in (0, 1, 2, 3):
             raise InputError("digit {digit} at position {i} not in 0..3", digit=a, i=i)
         levels.append(tuple(sorted((a, (a + 2) % 4))))
@@ -411,10 +409,8 @@ def stage_rows(stage: StageSet) -> Iterator[tuple[int, int, int, int, int]]:
         yield (i, num // g, den // g, (num + 1) // h, den // h)
 
 
-def write_stage_csv(stage: StageSet, fp, comments: Sequence[str] = ()) -> None:
-    """Stream a stage as CSV with exact integer endpoint columns."""
-    for line in comments:
-        fp.write(f"# {line}\n")
+def write_stage_csv(stage: StageSet, fp) -> None:
+    """Stream a stage as CSV with exact integer endpoint columns: a header, then one row per interval."""
     fp.write("index,left_numerator,left_denominator,right_numerator,right_denominator\n")
     fp.writelines("%d,%d,%d,%d,%d\n" % row for row in stage_rows(stage))
 

@@ -10,6 +10,7 @@ largest zeta argument, stay with the code whose domain they bound.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -86,6 +87,14 @@ def check_text_exponent(text: str) -> None:
         exponent = m.group(1).replace("_", "").lstrip("0") or "0"
         if len(exponent) > len(str(MAX_TEXT_EXPONENT)) or int(exponent) > MAX_TEXT_EXPONENT:
             raise ValueError(f"decimal exponent of {text!r} exceeds {MAX_TEXT_EXPONENT}")
+
+
+def as_integer(value, what: str) -> int:
+    """``value`` by ``operator.index``, so Python's and numpy's integers; a float or a text is an ``InputError``."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise InputError("{what} must be an integer, got {value!r}", what=what, value=value) from exc
 
 
 def fraction_from_text(text: str) -> Fraction:

@@ -19,7 +19,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import InputError, ParseError
-from .limits import DEFAULT_BOUNDARY_TOL, DEFAULT_PRECISION_DIGITS, MIN_DIGITIZE_DPS, check_precision, check_text_exponent
+from .limits import (
+    DEFAULT_BOUNDARY_TOL, DEFAULT_PRECISION_DIGITS, MIN_DIGITIZE_DPS, as_integer, check_precision, check_text_exponent,
+)
 
 CHI2_CRITICAL_05_DF3 = 7.8147
 
@@ -230,10 +232,8 @@ def reorder_external_weights(table: ZeroTable, weights_path) -> ZeroTable:
 
 def digit_stats(digits) -> DigitStats:
     """Chi-square uniformity statistic over the four digit classes."""
-    if hasattr(digits, "digits"):
-        seq = list(digits.digits())
-    else:
-        seq = [int(d) for d in digits]
+    digits = digits.digits() if hasattr(digits, "digits") else digits
+    seq = [as_integer(d, f"digit at position {i}") for i, d in enumerate(digits, start=1)]
     if len(seq) < 8:
         raise InputError("need at least 8 digits for the uniformity statistic, got {size}", size=len(seq))
     if any(d not in (0, 1, 2, 3) for d in seq):

@@ -774,19 +774,21 @@ _FOOTPRINT_PROBE = (
     "print(code, *sys.modules)\n"
 )
 _ANALYTIC = {"mpmath", "fraczeta.zeta", "fraczeta.zeros", "fraczeta.cardinality"}
+# numpy imports datetime itself, so only perturb may load it
+_UNUSED = _ANALYTIC | {"datetime"}
 
 
 @pytest.mark.parametrize(
     "argv,unloaded",
     [
-        (["construct", "pess", "--depth", "3"], _ANALYTIC),
-        (["dimension", "pess", "--method", "similarity"], _ANALYTIC | {"statistics"}),
-        (["dimension", "cantor13", "--method", "boxcount", "--depth", "6"], _ANALYTIC),
-        (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", "0,1,2"], _ANALYTIC | {"statistics"}),
+        (["construct", "pess", "--depth", "3"], _UNUSED),
+        (["dimension", "pess", "--method", "similarity"], _UNUSED | {"statistics"}),
+        (["dimension", "cantor13", "--method", "boxcount", "--depth", "6"], _UNUSED),
+        (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", "0,1,2"], _UNUSED | {"statistics"}),
         (["perturb", "--p", "0.75", "--depth", "6", "--trials", "5", "--seed", "7"], _ANALYTIC),
         (
             ["zeros", "reorder", "--file", "ZEROS", "--mode", "random", "--seed", "11"],
-            {"mpmath", "fraczeta.cardinality", "fraczeta.zeta", "fraczeta.dimension", "fraczeta.montecarlo"},
+            {"mpmath", "fraczeta.cardinality", "fraczeta.zeta", "fraczeta.dimension", "fraczeta.montecarlo", "datetime"},
         ),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,

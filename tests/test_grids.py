@@ -90,6 +90,26 @@ class TestSpecs:
         with pytest.raises(InputError):
             GridSpec(base=4, label="bad", constant=(4,))
 
+    @pytest.mark.parametrize(
+        "base,constant,message",
+        [
+            (4, (1.7, 3), "retained digit at all levels must be an integer, got 1.7"),
+            (4, (1, "3"), "retained digit at all levels must be an integer, got '3'"),
+            (4.0, (1, 3), "base must be an integer, got 4.0"),
+        ],
+    )
+    def test_a_non_integer_digit_or_base_is_refused(self, base, constant, message):
+        with pytest.raises(InputError) as exc:
+            build_stage(GridSpec(base=base, label="x", constant=constant), 3)
+        assert str(exc.value) == message
+
+    def test_numpy_integers_are_integers(self):
+        np = pytest.importorskip("numpy")
+        spec = GridSpec(base=np.int64(4), label="np", constant=(np.int8(1), np.uint64(3)))
+        assert spec == GridSpec(base=4, label="np", constant=(1, 3))
+        # a numpy base would overflow base**depth
+        assert type(spec.base) is int and build_stage(spec, 40).total_length == F(2**40, 4**40)
+
 
 class TestZfSpec:
     def test_digit_zero_gives_pair_02(self):
@@ -108,6 +128,10 @@ class TestZfSpec:
     def test_empty_digits_rejected(self):
         with pytest.raises(InputError):
             make_zf_spec([])
+
+    def test_a_non_integer_digit_is_refused(self):
+        with pytest.raises(InputError, match=r"^digit at position 2 must be an integer, got 3\.9$"):
+            make_zf_spec([1, 3.9])
 
     def test_depth_beyond_digit_stream_rejected(self):
         spec = make_zf_spec([0, 1])
@@ -406,10 +430,8 @@ def reference_rows(stage):
         yield (i, left.numerator, left.denominator, right.numerator, right.denominator)
 
 
-def reference_csv(stage, comments):
+def reference_csv(stage):
     fp = io.StringIO()
-    for line in comments:
-        fp.write(f"# {line}\n")
     fp.write("index,left_numerator,left_denominator,right_numerator,right_denominator\n")
     for row in reference_rows(stage):
         fp.write(",".join(str(v) for v in row) + "\n")
@@ -487,13 +509,11 @@ class TestIntegerEnumeration:
     @settings(max_examples=300, deadline=None)
     @given(stages(), tail_sizes)
     def test_exports_match_reference(self, stage, tail_size):
-        comments = ["manifest line"]
         with mock.patch.object(grids_module, "_TAIL_SIZE", tail_size):
             fp = io.StringIO()
-            write_stage_csv(stage, fp, comments=comments)
+            write_stage_csv(stage, fp)
             payload = stage_to_json(stage)
-        assert first_difference(fp.getvalue().splitlines(),
-                                reference_csv(stage, comments).splitlines()) is None
+        assert first_difference(fp.getvalue().splitlines(), reference_csv(stage).splitlines()) is None
         expected = reference_json(stage)
         assert first_difference(payload.pop("intervals"), expected.pop("intervals")) is None
         assert payload == expected

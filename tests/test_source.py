@@ -224,6 +224,42 @@ def test_cli_opens_files_in_one_function():
     assert open_callers((PACKAGE / "cli.py").read_text()) == ["_write"]
 
 
+def comment_builders(source: str) -> list[str]:
+    """The function around each string constant or f-string that starts with '# ', in source order; '<module>' outside any."""
+    builders = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            head = child.values[0] if isinstance(child, ast.JoinedStr) and child.values else child
+            # a constant directly in an f-string is one of its parts, checked with the f-string
+            text = head.value if isinstance(head, ast.Constant) and not isinstance(node, ast.JoinedStr) else None
+            if isinstance(text, str) and text.startswith("# "):
+                builders.append(owner)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(ast.parse(source), "<module>")
+    return builders
+
+
+def test_comment_check_finds_each_builder():
+    source = (
+        "def f(fp, line):\n"
+        "    fp.write('# note\\n')\n"
+        "    def g(m):\n"
+        "        return f'# manifest: {m}'\n"
+        "    return f'{line} # not first', '#no space', b'# bytes'\n"
+        "HEAD = '# ' + 'x'\n"
+    )
+    assert comment_builders(source) == ["f", "g", "<module>"]
+
+
+# Library writers emit only their payload; the command line alone frames an
+# artifact with its '# manifest:' line.
+def test_only_cli_write_builds_a_comment_line():
+    found = [(path.name, owner) for path in sorted(PACKAGE.glob("*.py")) for owner in comment_builders(path.read_text())]
+    assert found == [("cli.py", "_write")]
+
+
 def test_zeros_and_limits_load_without_zeta():
     code = (
         "import sys\n"

@@ -227,6 +227,11 @@ class TestDigitStats:
         with pytest.raises(InputError):
             digit_stats([0, 1, 2, 3])
 
+    @pytest.mark.parametrize("digits,position", [([0.5, 1, 2, 3, 0, 1, 2, 3], 1), ([0, 1, 2, 3, 0, 1, 2, 3.7], 8)])
+    def test_a_non_integer_digit_is_refused(self, digits, position):
+        with pytest.raises(InputError, match=f"^digit at position {position} must be an integer"):
+            digit_stats(digits)
+
     def test_permutation_invariance(self, zero_digits):
         base = digit_stats(zero_digits)
         shuffled = list(zero_digits.digits())
