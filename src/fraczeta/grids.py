@@ -255,6 +255,7 @@ def make_zf_spec(digits, label: str = "zf") -> GridSpec:
 
 def build_stage(spec: GridSpec, depth: int) -> StageSet:
     """Exact stage-``depth`` approximation of the spec's fractal."""
+    depth = as_integer(depth, "depth")
     if depth < 0:
         raise InputError("depth must be >= 0, got {depth}", depth=depth)
     if spec.max_depth is not None and depth > spec.max_depth:
@@ -275,6 +276,7 @@ def address_to_point(spec: GridSpec, address: Address) -> Fraction:
     b = spec.base
     scale = Fraction(1)
     for level, idx in enumerate(address.digits, start=1):
+        idx = as_integer(idx, f"address index at level {level}")
         retained = spec.retained_at(level)
         if not (0 <= idx < len(retained)):
             raise AddressError(level, idx, len(retained))
@@ -378,6 +380,7 @@ def self_similarity_check(
             "spec '{label}' changes its retained set by level; a single map family cannot reproduce it",
             label=spec.label,
         )
+    depth = as_integer(depth, "depth")
     if depth < 1:
         raise InputError("depth must be >= 1, got {depth}", depth=depth)
     ifs = ifs_of_grid(spec)

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import InputError, SubcriticalRetentionWarning
-from .limits import MAX_BINOMIAL_COUNT, MAX_TRIAL_LEVELS, check_work
+from .limits import MAX_BINOMIAL_COUNT, MAX_TRIAL_LEVELS, as_integer, check_work
 
 
 def expected_dimension(p: float) -> float:
@@ -51,6 +51,8 @@ class RetentionConfig:
     base: int = 4
 
     def __post_init__(self):
+        for name in ("depth", "trials", "seed", "base"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if any(not (0 <= p <= 1) for p in self.probs):
             raise InputError("probabilities must lie in [0, 1], got {probs}", probs=self.probs)
         if self.depth < 1:

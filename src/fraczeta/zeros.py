@@ -141,29 +141,40 @@ def digitize(
 ) -> DigitSequence:
     """Base-4 digits a_n = floor(4 * frac(gamma_n / 2pi)) at a stated precision.
 
-    An entry is boundary-flagged when |4t - nearest integer| < boundary_tol;
-    those digits are the ones an input truncated at fewer decimals could flip.
+    Only x = gamma / 2pi is rounded: it is the quotient numerator /
+    denominator / 2pi, taken in mpmath at the working precision with
+    round-to-nearest.  Everything after is read exactly off x's integer
+    mantissa: the bits below the binary point give t, the next two give a,
+    and the rest give the distance from 4t to the nearest integer.  So t is
+    x - floor(x) without rounding, and t < 1 always holds.
+
+    An entry is boundary-flagged when that exact distance is below the
+    exact value of the double ``boundary_tol``; those digits are the ones
+    an input truncated at fewer decimals could flip.
     """
-    import mpmath as mp  # only digitizing needs it, so a reorder does not load it
+    from mpmath import mp  # only digitizing needs mpmath, so a reorder does not load it
+    from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
     check_precision(precision_digits, MIN_DIGITIZE_DPS)
     if not 0 < boundary_tol < math.inf:
         raise InputError("boundary_tol must be finite and positive, got {tol}", tol=boundary_tol)
+    tol_num, tol_den = Fraction(boundary_tol).as_integer_ratio()
     entries = []
     with mp.workdps(precision_digits):
-        two_pi = 2 * mp.pi
+        prec, rnd = mp.prec, round_nearest
+        two_pi = (2 * mp.pi)._mpf_
         for i, (gamma, text) in enumerate(zip(table.gammas, table.gamma_strings), start=1):
-            x = mp.mpf(gamma.numerator) / mp.mpf(gamma.denominator) / two_pi
-            t = x - mp.floor(x)
-            scaled = 4 * t
-            a = int(mp.floor(scaled))
-            boundary = bool(abs(scaled - mp.nint(scaled)) < boundary_tol)
-            if a > 3:  # t rounded up to 1.0 at working precision
-                a = 3
-                boundary = True
-            entries.append(
-                DigitEntry(n=i, gamma=text, t=t, a=a, boundary_flag=boundary)
-            )
+            ratio = mpf_div(from_int(gamma.numerator, prec, rnd), from_int(gamma.denominator, prec, rnd), prec, rnd)
+            _, man, exp, _ = mpf_div(ratio, two_pi, prec, rnd)  # x = man * 2**exp > 0
+            bits = max(-exp, 0)  # fraction bits of x; none when x is an integer
+            one = 1 << bits
+            frac = man & (one - 1)  # t = frac / 2**bits
+            a, rest = divmod(frac << 2, one)  # 4t = a + rest / 2**bits
+            distance = min(rest, one - rest)  # |4t - nint(4t)| * 2**bits
+            entries.append(DigitEntry(
+                n=i, gamma=text, t=mp.make_mpf(from_man_exp(frac, exp)), a=int(a),
+                boundary_flag=bool(distance * tol_den < tol_num << bits),
+            ))
     return DigitSequence(
         entries=tuple(entries),
         precision_digits=precision_digits,

@@ -202,6 +202,12 @@ class TestStages:
         with pytest.raises(InputError):
             build_stage(make_pess_spec(), -1)
 
+    @pytest.mark.parametrize("build", [build_stage, self_similarity_check])
+    @pytest.mark.parametrize("depth", [2.0, "2"])
+    def test_a_non_integer_depth_is_refused(self, build, depth):
+        with pytest.raises(InputError, match=r"^depth must be an integer, got "):
+            build(make_pess_spec(), depth)
+
 
 class TestAddresses:
     def test_finite_geometric_sum(self):
@@ -220,6 +226,10 @@ class TestAddresses:
         for n in (5, 10, 20):
             point = address_to_point(spec, Address((0,) * n))
             assert F(1, 3) - point == F(1, 3 * 4**n)
+
+    def test_a_non_integer_index_is_refused(self):
+        with pytest.raises(InputError, match=r"^address index at level 2 must be an integer, got 0\.5$"):
+            address_to_point(make_pess_spec(), Address((1, 0.5)))
 
     def test_out_of_range_index_names_level(self):
         with pytest.raises(AddressError) as err:

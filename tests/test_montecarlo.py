@@ -121,6 +121,12 @@ class TestRunTrials:
         with pytest.raises(InputError):
             RetentionConfig.uniform(0.5, 5, 5, seed=-1)
 
+    @pytest.mark.parametrize("field,value", [("depth", 2.5), ("trials", 2.0), ("seed", 1.5), ("base", 4.0)])
+    def test_a_non_integer_field_is_refused(self, field, value):
+        values = {"depth": 2, "trials": 2, "seed": 1, "base": 4, field: value}
+        with pytest.raises(InputError, match=rf"^{field} must be an integer, got {value}$"):
+            run_trials(RetentionConfig(probs=(0.75, 0.75), **values))
+
     def test_trial_levels_are_capped(self, monkeypatch):
         assert 500 * 12 * 100 < MAX_TRIAL_LEVELS  # far above the quick tour's run
         with pytest.raises(CapacityError, match=str(MAX_TRIAL_LEVELS)):

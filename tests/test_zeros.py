@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fraczeta.errors import CapacityError, InputError, ParseError
 from fraczeta.zeros import (
+    ZeroTable,
     digit_stats,
     digitize,
     parse_zero_file,
@@ -142,6 +145,62 @@ class TestDigitize:
         spec = make_zf_spec(zero_digits)
         for level in range(1, len(zero_digits) + 1):
             assert len(spec.retained_at(level)) == 2
+
+
+def reference_digits(table, precision_digits, boundary_tol):
+    """(t._mpf_, a, flag) per ordinate, by the step-by-step mpmath loop digitize replaced."""
+    out = []
+    with mp.workdps(precision_digits):
+        two_pi = 2 * mp.pi
+        for gamma in table.gammas:
+            x = mp.mpf(gamma.numerator) / mp.mpf(gamma.denominator) / two_pi
+            t = x - mp.floor(x)
+            scaled = 4 * t
+            a = int(mp.floor(scaled))
+            boundary = bool(abs(scaled - mp.nint(scaled)) < boundary_tol)
+            if a > 3:  # t rounded up to 1.0 at working precision
+                a = 3
+                boundary = True
+            out.append((t._mpf_, a, boundary))
+    return out
+
+
+def near_quarter_turn(k, j, sign, m):
+    """2pi(k + j/4) +- 10^-m to 115 digits: 4t lies within about 10^-m of an integer."""
+    with mp.workdps(130):
+        return Fraction(mp.nstr(2 * mp.pi * (k + mp.mpf(j) / 4) + sign * mp.mpf(10) ** -m, 115))
+
+
+with mp.workdps(80):
+    # at 40 digits gamma / 2pi rounds to exactly 1 + 1/8, so 4t is 1/2 away from both integers
+    EIGHTH_TURN = Fraction(mp.nstr(2 * mp.pi + mp.pi / 4, 60))
+
+ordinates = st.one_of(
+    # decimals with more digits than 40-digit working precision holds
+    st.builds(lambda n, scale: Fraction(n, 10**scale), st.integers(1, 10**126), st.integers(0, 120)),
+    # below one turn: the integer part of gamma / 2pi is 0
+    st.fractions(Fraction(1, 10**45), Fraction(6283185307, 10**9), max_denominator=10**45),
+    # so large that gamma / 2pi rounds to an integer: t = 0
+    st.integers(1, 10**400).map(Fraction),
+    st.builds(near_quarter_turn, st.integers(1, 10**6), st.integers(0, 3), st.sampled_from([-1, 1]),
+              st.integers(1, 110)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(ordinates, min_size=1, max_size=6),
+    st.sampled_from([40, 50, 100, 300]),
+    st.sampled_from([1e-300, 1e-9, 1e-4, 0.25, 0.5, 0.75]),
+)
+@example([Fraction(10**60)], 40, 1e-9)  # gamma / 2pi rounds to an integer: t = 0
+@example([EIGHTH_TURN], 40, 0.5)
+def test_digitize_matches_the_mpmath_reference(gammas, precision_digits, boundary_tol):
+    table = ZeroTable(gammas=tuple(gammas), gamma_strings=tuple(map(str, gammas)), ordering="standard")
+    seq = digitize(table, precision_digits, boundary_tol)
+    got = [(e.t._mpf_, e.a, e.boundary_flag) for e in seq]
+    assert got == reference_digits(table, precision_digits, boundary_tol)
+    assert all(type(e.a) is int and type(e.boundary_flag) is bool for e in seq)
 
 
 class TestReorder:
