@@ -561,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--k", type=int,
-        help="Bernoulli correction terms K (default: automatic, the maximum of 30)",
+        help="Bernoulli correction terms K, at most 354 (default: automatic, 30 up to 75 digits, "
+        "then 0.35 (digits + 10) rounded up)",
     )
 
     zeros = sub.add_parser("zeros", help="zero-file operations")

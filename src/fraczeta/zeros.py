@@ -38,7 +38,7 @@ class ZeroTable:
     def __post_init__(self):
         if len(self.gammas) != len(self.gamma_strings):
             raise InputError("gamma values and text rows differ in length")
-        if any(g <= 0 for g in self.gammas):
+        if any(g.numerator <= 0 for g in self.gammas):
             raise InputError("all zero ordinates must be positive")
 
     def __len__(self) -> int:
@@ -107,24 +107,29 @@ def parse_zero_file(path) -> ZeroTable:
     """Read a one-ordinate-per-line text file into a ZeroTable.
 
     Lines starting with '#' and blank lines are skipped.  A line that is
-    not a decimal number raises a parse error naming the line.
+    not a decimal number raises a parse error naming the line.  The sign
+    and order checks compare the exact ``Decimal`` each line parses to,
+    which is cheaper than comparing the ``Fraction`` built from it.
     """
     p = Path(path)
+    decimals: list[Decimal] = []
     gammas: list[Fraction] = []
     strings: list[str] = []
     for lineno, raw, token in _data_lines(p, "zero"):
         try:
-            value = Fraction(Decimal(token))
+            decimal = Decimal(token)
+            value = Fraction(decimal)
         except (InvalidOperation, ValueError, OverflowError) as exc:
             raise ParseError("{p}: line {n}: not a decimal number: {raw!r}", p=p, n=lineno, raw=raw) from exc
-        if value <= 0:
+        if decimal <= 0:
             raise InputError("{p}: line {n}: ordinate must be positive, got {token}", p=p, n=lineno, token=token)
+        decimals.append(decimal)
         gammas.append(value)
         strings.append(token)
     if not gammas:
         raise InputError("{p}: no zero ordinates found", p=p)
     warning = None
-    if any(b <= a for a, b in zip(gammas, gammas[1:])):
+    if any(b <= a for a, b in zip(decimals, decimals[1:])):
         warning = "ordinates are not strictly increasing; standard ordering not verified"
     return ZeroTable(
         gammas=tuple(gammas),

@@ -12,10 +12,13 @@ observable truncation bound: ``error_bound`` is the magnitude the k = K+1
 correction term would have.  For real s > 0 the remainder is no larger
 than that first omitted term (H. M. Edwards, *Riemann's Zeta Function*,
 section 6.4), so the bound certifies ``floor(-log10(error_bound))``
-digits.  By default K = ``MAX_CORRECTION_K`` and N is the smallest cutoff
-whose bound lies below the last requested digit and ``_GUARD`` more
-(parameters chosen for a target precision, as in F. Johansson,
-arXiv:1309.2877).  A real Gamma function (``mpmath.gamma`` at guard
+digits.  By default K = ``default_correction_K(digits)``, which is 30 up
+to 75 digits and then grows as 0.35 (digits + 10), and N is the smallest
+cutoff whose bound lies below the last requested digit and ``_GUARD``
+more (parameters chosen together for a target precision, as in
+F. Johansson, arXiv:1309.2877).  Each power n^t is the one ``mp.power``
+gives, bit for bit; for a t that is not a multiple of 1/2 it reuses a
+cached log n.  A real Gamma function (``mpmath.gamma`` at guard
 precision) and the s <-> 1-s functional-equation residual complete the
 engine.
 """
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import from_int, mpf_add, mpf_exp, mpf_log, mpf_mul, mpf_pow, round_nearest
 
 from .errors import DomainError, InputError, PoleError
 from .limits import (
@@ -38,7 +42,20 @@ from .limits import (
     fraction_from_text,
 )
 
-MAX_CORRECTION_K = 30
+
+def default_correction_K(precision_digits: int) -> int:
+    """The automatic K: max(30, ceil(0.35 (digits + 10))), so 30 up to 75 digits.
+
+    A larger K lets a smaller N certify the same digits: at 100 digits
+    (K, N) is (39, 110) instead of (30, 215) for s = 1/2, and at 1000
+    digits (354, 1097), where K = 30 would need about 10^17 terms.
+    """
+    return max(30, -(-7 * (precision_digits + 10) // 20))
+
+
+# The largest automatic K, the one at the precision cap of 1000 digits, so a
+# K read off any result can be given back.
+MAX_CORRECTION_K = 354
 
 # Above this s, zeta(s) - 1 < 2^(1-s) is below 10^-300000, so the value is 1
 # at any usable precision, while each power n^-s costs more as s grows
@@ -102,9 +119,30 @@ def _bernoulli_coeff(k: int, prec: int) -> mp.mpf:
         return _frac_to_mpf(Fraction(*mp.bernfrac(2 * k))) / mp.factorial(2 * k)
 
 
-def _correction_term(s_mp: mp.mpf, n_mp: mp.mpf, k: int, rising: mp.mpf) -> mp.mpf:
-    coeff = _bernoulli_coeff(k, mp.mp.prec)
-    return coeff * rising * mp.power(n_mp, -s_mp - 2 * k + 1)
+# Room for every n of the largest automatic N (about 1,100 at 1000 digits): a
+# sum that scans more integers than an LRU cache holds misses on every one.
+@functools.lru_cache(maxsize=2048)
+def _log_int(n: int, prec: int) -> tuple:
+    """log n as the raw mpf ``mpf_pow`` takes for a fractional power at ``prec`` bits."""
+    return mpf_log(from_int(n), prec + 10, round_nearest)
+
+
+def _power(n: int, t: tuple, prec: int) -> tuple:
+    """``mp.power(n, t)`` at ``prec`` bits, bit for bit, on raw mpfs.
+
+    For a t that is not a multiple of 1/2 this is ``mpf_pow``'s general
+    branch, exp(t log n), with log n from the cache; a half-integer or
+    integer t keeps ``mpf_pow``'s square-root and integer paths.
+    """
+    if t[2] < -1:
+        return mpf_exp(mpf_mul(t, _log_int(n, prec)), prec, round_nearest)
+    return mpf_pow(from_int(n), t, prec, round_nearest)
+
+
+def _correction_term(s_mp: mp.mpf, n: int, k: int, rising: mp.mpf) -> mp.mpf:
+    prec = mp.mp.prec
+    coeff = _bernoulli_coeff(k, prec)
+    return coeff * rising * mp.make_mpf(_power(n, (-s_mp - 2 * k + 1)._mpf_, prec))
 
 
 def _auto_terms(s_mp: mp.mpf, correction_K: int, rising: mp.mpf, precision_digits: int) -> int:
@@ -121,7 +159,7 @@ def _auto_terms(s_mp: mp.mpf, correction_K: int, rising: mp.mpf, precision_digit
     what = "zeta at {digits} digits needs N = {n} terms"
     check_work(estimate, MAX_ZETA_TERMS, what, digits=precision_digits, n=mp.nstr(estimate, 3))
     n = max(2, math.floor(math.exp(log_n)))
-    while abs(_correction_term(s_mp, mp.mpf(n), k, rising)) >= target:
+    while abs(_correction_term(s_mp, n, k, rising)) >= target:
         n += 1
     check_work(n, MAX_ZETA_TERMS, what, digits=precision_digits, n=n)
     return n
@@ -138,9 +176,10 @@ def zeta_euler_maclaurin(
     ``terms_N`` is the partial-sum cutoff, ``correction_K`` the number of
     Bernoulli correction terms, ``precision_digits`` the working decimal
     precision the result is carried at.  ``correction_K`` defaults to
-    ``MAX_CORRECTION_K`` and ``terms_N`` to the smallest cutoff whose
-    ``error_bound`` lies below 10^-(precision_digits + _GUARD), so the
-    value is certified to every digit it carries.
+    ``default_correction_K(precision_digits)`` and ``terms_N`` to the
+    smallest cutoff whose ``error_bound`` lies below
+    10^-(precision_digits + _GUARD), so the value is certified to every
+    digit it carries.
     """
     s_exact = _to_exact(s)
     if s_exact == 1:
@@ -150,7 +189,7 @@ def zeta_euler_maclaurin(
     if s_exact > MAX_ZETA_S:
         raise DomainError("s > {top} is out of range: zeta(s) - 1 < 2^(1-s) there", top=MAX_ZETA_S)
     if correction_K is None:
-        correction_K = MAX_CORRECTION_K
+        correction_K = default_correction_K(precision_digits)
     if terms_N is not None:
         if terms_N < 2:
             raise InputError("terms_N must be >= 2, got {n}", n=terms_N)
@@ -167,15 +206,17 @@ def zeta_euler_maclaurin(
             risings.append(risings[-1] * ((s_mp + 2 * k - 1) * (s_mp + 2 * k)))
         if terms_N is None:
             terms_N = _auto_terms(s_mp, correction_K, risings[-1], precision_digits)
-        n_mp = mp.mpf(terms_N)
-        total = mp.mpf(0)
+        prec = mp.mp.prec
+        minus_s = (-s_mp)._mpf_
+        total = from_int(0)
         for n in range(1, terms_N):
-            total += mp.power(n, -s_mp)
-        total += mp.power(n_mp, 1 - s_mp) / (s_mp - 1)
-        total += mp.power(n_mp, -s_mp) / 2
+            total = mpf_add(total, _power(n, minus_s, prec), prec, round_nearest)
+        total = mp.make_mpf(total)
+        total += mp.make_mpf(_power(terms_N, (1 - s_mp)._mpf_, prec)) / (s_mp - 1)
+        total += mp.make_mpf(_power(terms_N, minus_s, prec)) / 2
         for k in range(1, correction_K + 1):
-            total += _correction_term(s_mp, n_mp, k, risings[k - 1])
-        bound = abs(_correction_term(s_mp, n_mp, correction_K + 1, risings[-1]))
+            total += _correction_term(s_mp, terms_N, k, risings[k - 1])
+        bound = abs(_correction_term(s_mp, terms_N, correction_K + 1, risings[-1]))
     with mp.workdps(precision_digits):
         value = +total
         bound = +bound

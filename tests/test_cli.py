@@ -177,7 +177,7 @@ class TestZeta:
     def test_automatic_pair_is_recorded(self, capsys):
         payload = run_json(capsys, ["zeta", "--s", "0.5", "--digits", "100"])
         result, params = payload["result"], payload["manifest"]["parameters"]
-        assert (result["terms_N"], result["correction_K"]) == (params["terms"], params["k"]) == (215, 30)
+        assert (result["terms_N"], result["correction_K"]) == (params["terms"], params["k"]) == (110, 39)
         assert len(result["value"].lstrip("-").replace(".", "")) <= 100
         with mp.workdps(120):
             ref = mp.zeta(mp.mpf(1) / 2)
@@ -437,8 +437,9 @@ EXIT_CASES = [
     (["zeta", "--s", "0.5", "--terms", "100000000"], {}, CapacityError.exit_code),
     (["zeta", "--s", "0.5", "--digits", "100000000"], {}, CapacityError.exit_code),
     (["zeta", "--s", "2", "--terms", "50", "--k", "4", "--digits", "100000000"], {}, CapacityError.exit_code),
-    (["zeta", "--s", "0.5", "--digits", "300"], {}, CapacityError.exit_code),
-    (["catalog"], {"FRACZETA_PRECISION": "300"}, CapacityError.exit_code),
+    # K grows with the precision, so 300 digits need only a few hundred terms
+    (["zeta", "--s", "0.5", "--digits", "300"], {}, 0),
+    (["catalog"], {"FRACZETA_PRECISION": "300"}, 0),
     (["zeros", "stats", "--file", "ZEROS", "--digits", "100000000"], {}, CapacityError.exit_code),
     (["perturb", "--p", "0.75", "--depth", "30", "--trials", "100000000", "--seed", "1"], {}, CapacityError.exit_code),
     # N = 2 at K = 30 leaves a bound above 1: no digit is certified, none is printed
@@ -547,6 +548,8 @@ EXIT_CASES = [
                  id="zeta --s \\x01...\\x01 (4000 characters)"),
     # a --q list of no values ends as a missing one does
     (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", ","], {}, InputError.exit_code),
+    # K = 30 given at 300 digits would need about 383,000 terms
+    (["zeta", "--s", "0.5", "--k", "30", "--digits", "300"], {}, CapacityError.exit_code),
 ]
 
 # an error exit is reached within this many seconds
@@ -636,7 +639,7 @@ def test_boxcount_scale_errors_name_the_scale_and_the_default_depths(capsys, arg
          "stage 1 of 'mod<a 4000-digit number>' has endpoints of 13288 bits, above the cap 12000"),
         (["zeta", "--s", "2", "--terms", "-" + NINES],
          "terms_N must be >= 2, got a negative 4000-digit number"),
-        (["zeta", "--s", "2", "--k", NINES], "correction_K must be in 1..30, got a 4000-digit number"),
+        (["zeta", "--s", "2", "--k", NINES], "correction_K must be in 1..354, got a 4000-digit number"),
     ],
     ids=["construct depth", "construct cap", "perturb depth", "perturb base", "modq base", "modq keep",
          "modq label", "zeta terms", "zeta k"],

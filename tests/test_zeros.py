@@ -2,6 +2,7 @@
 
 import random
 import time
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fraczeta.errors import CapacityError, InputError, ParseError
+from fraczeta.errors import CapacityError, FraczetaError, InputError, ParseError
 from fraczeta.zeros import (
     ZeroTable,
+    _data_lines,
     digit_stats,
     digitize,
     parse_zero_file,
@@ -78,6 +80,69 @@ class TestParse:
     def test_fixture_file(self, zero_table):
         assert len(zero_table) == 100
         assert zero_table.ordering_warning is None
+
+
+def reference_table(path):
+    """The ZeroTable the former parser built: every check on the ``Fraction``."""
+    gammas, strings = [], []
+    for lineno, raw, token in _data_lines(path, "zero"):
+        try:
+            value = Fraction(Decimal(token))
+        except (InvalidOperation, ValueError, OverflowError) as exc:
+            raise ParseError("{p}: line {n}: not a decimal number: {raw!r}", p=path, n=lineno, raw=raw) from exc
+        if value <= 0:
+            raise InputError("{p}: line {n}: ordinate must be positive, got {token}", p=path, n=lineno, token=token)
+        gammas.append(value)
+        strings.append(token)
+    if not gammas:
+        raise InputError("{p}: no zero ordinates found", p=path)
+    warning = None
+    if any(b <= a for a, b in zip(gammas, gammas[1:])):
+        warning = "ordinates are not strictly increasing; standard ordering not verified"
+    return ZeroTable(gammas=tuple(gammas), gamma_strings=tuple(strings), ordering="standard",
+                     ordering_warning=warning)
+
+
+def parse_outcome(parse, path):
+    try:
+        table = parse(path)
+    except FraczetaError as exc:
+        return type(exc), str(exc)
+    assert all(type(g) is Fraction for g in table.gammas)
+    return table.gammas, table.gamma_strings, table.ordering, table.ordering_warning
+
+
+digit_runs = st.text("0123456789", min_size=1, max_size=4)
+# decimals as a zero file may spell them: signs, '_' between digits, exponents,
+# trailing zeros that make equal values look different
+decimal_tokens = st.builds(
+    lambda sign, whole, frac, exp: sign + "_".join(whole) + frac + exp,
+    st.sampled_from(["", "", "", "", "", "+", "+", "-"]),
+    st.lists(digit_runs, min_size=0, max_size=2).flatmap(
+        lambda runs: st.sampled_from("123456789").map(lambda lead: [lead + "".join(runs[:1]), *runs[1:]])),
+    st.one_of(st.just(""), st.builds(lambda d: "." + d, st.text("0123456789", max_size=6))),
+    st.one_of(st.just(""), st.builds(lambda e, sign, n: f"{e}{sign}{n}", st.sampled_from("eE"),
+                                     st.sampled_from(["", "+", "-"]), st.integers(0, 40))),
+)
+zero_file_lines = st.one_of(
+    decimal_tokens,
+    decimal_tokens,
+    decimal_tokens.map(lambda t: f"  {t}\t"),
+    st.sampled_from(["0", "-0", "0.000", "nan", "inf", "-inf", "1__2", "_1", "1e", "abc", "# comment", "", "007.5", "1.0",
+                     "1.00", "10", "1e1"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(zero_file_lines, min_size=0, max_size=12))
+@example(["14.5", "+14.50", "1_4.6", "1.46e1", "2E+1"])
+@example(["3", "2", "1"])
+@example(["5", "-0"])
+@example(["5", "nan"])
+def test_parse_matches_the_fraction_reference(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("zeros") / "zeros.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert parse_outcome(parse_zero_file, path) == parse_outcome(reference_table, path)
 
 
 class TestDigitize:

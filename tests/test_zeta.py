@@ -1,15 +1,17 @@
 """Euler-Maclaurin zeta, Gamma, and the functional-equation residual."""
 
+import json
 import math
 import time
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraczeta.zeta as zeta_module
+from fraczeta.cli import main
 from fraczeta.errors import CapacityError, DomainError, InputError, PoleError
 from fraczeta.limits import (
     MAX_PRECISION_DIGITS,
@@ -22,8 +24,11 @@ from fraczeta.zeta import (
     MAX_CORRECTION_K,
     MAX_ZETA_S,
     _bernoulli_coeff,
+    _log_int,
+    _power,
     bernoulli_numbers,
     certified_digits,
+    default_correction_K,
     functional_equation_residual,
     gamma_real,
     zeta_euler_maclaurin,
@@ -152,7 +157,7 @@ class TestZeta:
         with pytest.raises(InputError):
             zeta_euler_maclaurin(2, 100, 0, 30)
         with pytest.raises(InputError):
-            zeta_euler_maclaurin(2, 100, 31, 30)
+            zeta_euler_maclaurin(2, 100, MAX_CORRECTION_K + 1, 30)
         with pytest.raises(InputError):
             zeta_euler_maclaurin(2, 100, 5, 10)
 
@@ -165,20 +170,27 @@ class TestAutomaticTerms:
         st.fractions(min_value=Fraction(1, 1000), max_value=10, max_denominator=1000).filter(
             lambda s: s != 1
         ),
-        st.integers(min_value=20, max_value=120),
+        st.integers(min_value=20, max_value=400),
     )
     def test_agrees_with_mpmath_to_its_certified_digits(self, s, digits):
         zv = zeta_euler_maclaurin(s, precision_digits=digits)
-        assert zv.correction_K == MAX_CORRECTION_K
+        assert zv.correction_K == default_correction_K(digits)
         assert zv.certified_digits >= digits
         # the value carries ``digits`` digits, all of them certified
         with mp.workdps(digits + 20):
             ref = mp.zeta(mp.mpf(s.numerator) / s.denominator)
             assert abs(zv.value - ref) <= mp.mpf(10) ** (1 - digits) * abs(ref)
-        # N is the smallest cutoff whose bound clears the guard digits
+        # N is the smallest cutoff whose bound clears the guard digits at that K
         if zv.terms_N > 2:
-            fewer = zeta_euler_maclaurin(s, zv.terms_N - 1, MAX_CORRECTION_K, digits)
+            fewer = zeta_euler_maclaurin(s, zv.terms_N - 1, zv.correction_K, digits)
             assert fewer.error_bound >= mp.mpf(10) ** -(digits + _GUARD)
+
+    def test_automatic_K_is_30_up_to_75_digits_and_reaches_the_cap_at_1000(self):
+        rule = [default_correction_K(d) for d in range(20, MAX_PRECISION_DIGITS + 1)]
+        assert rule[: 75 - 20 + 1] == [30] * 56 and rule[76 - 20] == 31
+        assert rule == sorted(rule)
+        assert rule[-1] == MAX_CORRECTION_K
+        assert zeta_euler_maclaurin(Fraction(1, 2), precision_digits=100).correction_K == 39
 
     @pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(2, 3), Fraction(7, 3), Fraction(37, 10)])
     @pytest.mark.parametrize("digits", [30, 50])
@@ -198,6 +210,17 @@ class TestAutomaticTerms:
             _bernoulli_coeff.cache_clear()
             value(first)
             assert value(second) == cold
+
+    def test_log_cache_gives_the_same_bits_cold_or_warm(self):
+        def value(s, digits):
+            return zeta_euler_maclaurin(s, precision_digits=digits).value._mpf_
+
+        for digits in (30, 110):
+            _log_int.cache_clear()
+            cold = value(Fraction(2, 3), digits)
+            value(Fraction(7, 3), digits)  # warms every log the first value used
+            zeta_euler_maclaurin(Fraction(7, 3), 3000, 10, digits)  # and evicts them again
+            assert value(Fraction(2, 3), digits) == cold
 
     def test_explicit_pair_wins(self):
         zv = zeta_euler_maclaurin(Fraction(1, 2), 200, 6, 40)
@@ -225,12 +248,109 @@ class TestAutomaticTerms:
             zeta_euler_maclaurin(Fraction(1, 2), correction_K=4, precision_digits=50)
 
     def test_automatic_terms_past_the_cap_are_refused_at_once(self):
+        # K = 30 given at 300 digits needs about 383,000 terms
         with pytest.raises(CapacityError, match="300 digits needs N = 3.8"):
-            zeta_euler_maclaurin(Fraction(1, 2), precision_digits=300)
+            zeta_euler_maclaurin(Fraction(1, 2), correction_K=30, precision_digits=300)
 
     def test_precision_cap(self):
         with pytest.raises(CapacityError, match=str(MAX_PRECISION_DIGITS)):
             zeta_euler_maclaurin(2, 50, 4, MAX_PRECISION_DIGITS + 1)
+
+
+class TestPower:
+    """``_power`` against ``mp.power``, which the sum called for each term before."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=10**6),
+        st.one_of(
+            st.integers(min_value=-80, max_value=80).map(Fraction),  # exponent >= 0
+            st.integers(min_value=-80, max_value=80).map(lambda k: Fraction(2 * k + 1, 2)),  # exactly -1
+            st.fractions(min_value=-80, max_value=80, max_denominator=1000),  # mostly below -1
+        ),
+        st.sampled_from([20, 30, 50, 100, 300, 1000]),
+    )
+    @example(1, Fraction(-7, 3), 50)
+    @example(1, Fraction(-1, 2), 50)
+    @example(12, Fraction(3), 20)
+    @example(12, Fraction(-5, 2), 20)
+    @example(99, Fraction(-1, 1000), 100)
+    def test_is_mp_power_bit_for_bit(self, n, t, digits):
+        with mp.workdps(digits + _GUARD):
+            t_mp = mp.mpf(t.numerator) / t.denominator
+            assert _power(n, t_mp._mpf_, mp.mp.prec) == mp.power(n, t_mp)._mpf_
+
+
+def reference_zeta(s, terms_N, correction_K, digits):
+    """The value the sum gave when each power was an ``mp.power`` call, as a raw mpf."""
+    with mp.workdps(digits + _GUARD):
+        s_mp = mp.mpf(s.numerator) / s.denominator
+        n_mp = mp.mpf(terms_N)
+        total = mp.mpf(0)
+        for n in range(1, terms_N):
+            total += mp.power(n, -s_mp)
+        total += mp.power(n_mp, 1 - s_mp) / (s_mp - 1)
+        total += mp.power(n_mp, -s_mp) / 2
+        rising = s_mp
+        for k in range(1, correction_K + 1):
+            total += _bernoulli_coeff(k, mp.mp.prec) * rising * mp.power(n_mp, -s_mp - 2 * k + 1)
+            rising *= (s_mp + 2 * k - 1) * (s_mp + 2 * k)
+    with mp.workdps(digits):
+        return (+total)._mpf_
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.fractions(min_value=Fraction(1, 1000), max_value=20, max_denominator=1000).filter(lambda s: s != 1),
+    st.integers(min_value=2, max_value=300),
+    st.integers(min_value=1, max_value=60),
+    st.sampled_from([20, 50, 100, 300]),
+)
+@example(Fraction(1, 2), 215, 30, 100)
+@example(Fraction(19, 2), 40, 12, 50)
+def test_sum_is_the_mp_power_sum_bit_for_bit(s, terms_N, correction_K, digits):
+    zv = zeta_euler_maclaurin(s, terms_N, correction_K, digits)
+    assert zv.value._mpf_ == reference_zeta(s, terms_N, correction_K, digits)
+
+
+def printed_json(capsys, argv):
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)["result"]
+
+
+def agrees_to_every_printed_digit(text, ref):
+    """``text`` and ``ref`` differ by less than one unit of ``text``'s last significant digit."""
+    digits = len(text.lstrip("-").replace(".", "").lstrip("0"))
+    with mp.workdps(digits + 20):
+        last = mp.mpf(10) ** (mp.floor(mp.log10(abs(ref))) + 1 - digits)
+        return digits > 0 and abs(mp.mpf(text) - ref) < last
+
+
+class TestPrecisionCap:
+    """Every zeta-based command answers at the precision cap of 1000 digits."""
+
+    def test_zeta_at_1000_digits(self, capsys):
+        result = printed_json(capsys, ["zeta", "--s", "7/3", "--digits", str(MAX_PRECISION_DIGITS)])
+        assert (result["terms_N"], result["correction_K"]) == (1097, MAX_CORRECTION_K)
+        assert len(result["value"].replace(".", "")) == MAX_PRECISION_DIGITS
+        with mp.workdps(MAX_PRECISION_DIGITS + 10):
+            ref = mp.zeta(mp.mpf(7) / 3)
+        assert agrees_to_every_printed_digit(result["value"], ref)
+
+    def test_catalog_and_conservation_at_1000_digits(self, capsys):
+        with mp.workdps(MAX_PRECISION_DIGITS + 10):
+            ref = mp.zeta(mp.mpf(1) / 2)
+            minus_ref = -ref
+        iotas = [e["iota"] for e in printed_json(capsys, ["catalog", "--digits", str(MAX_PRECISION_DIGITS)])]
+        assert {i[0] for i in iotas if i != "0.0"} == {"1", "-"}
+        for iota in iotas:
+            assert iota == "0.0" or agrees_to_every_printed_digit(iota, ref if iota[0] == "-" else minus_ref)
+        report = printed_json(capsys, ["conservation", "--digits", str(MAX_PRECISION_DIGITS)])
+        assert agrees_to_every_printed_digit(report["zeta"]["value"], ref)
+        assert agrees_to_every_printed_digit(report["iota_pess"], minus_ref)
+
+    def test_axioms_at_1000_digits(self, capsys):
+        assert main(["axioms", "--digits", str(MAX_PRECISION_DIGITS)]) == 0
 
 
 class TestGamma:
