@@ -31,8 +31,9 @@ from .grids import (
     ifs_of_grid,
     make_named_spec,
     make_zf_spec,
+    stage_header,
+    stage_rows,
     write_stage_csv,
-    write_stage_json,
 )
 from .limits import (
     DEFAULT_BOUNDARY_TOL,
@@ -96,9 +97,28 @@ def _write_lines(path: str | None, flag: str, lines, manifest: dict | None = Non
     _write(path, flag, lambda fp: fp.writelines(f"{line}\n" for line in lines), manifest)
 
 
-def _emit_json(args, manifest: dict, result) -> None:
+# One ["p/q", "r/s"] pair as json.dumps(indent=2) lays it out in a list three levels into the envelope.
+_JSON_INTERVAL = ',\n      [\n        "%d/%d",\n        "%d/%d"\n      ]'
+
+
+def _emit_json(args, manifest: dict, result, rows=None) -> None:
+    """Write ``{"manifest": manifest, "result": result}`` as ``json.dumps(..., indent=2)`` does, plus a newline.
+
+    ``rows``, an iterator of at least one ``(p, q, r, s)``, fills the empty list that ends ``result``
+    with ``["p/q", "r/s"]`` pairs, streamed straight from the integers.
+    """
     text = json.dumps({"manifest": manifest, "result": result}, indent=2, allow_nan=False)
-    _write(args.out, "--out", lambda fp: fp.write(text + "\n"))
+    if rows is None:
+        return _write(args.out, "--out", lambda fp: fp.write(text + "\n"))
+    # the list is the last value, so its "[]" is the last one of the text
+    head, tail = text.rsplit("[]", 1)
+
+    def write(fp):
+        fp.write(head + "[" + _JSON_INTERVAL[1:] % next(rows))  # the first pair takes no comma
+        fp.writelines(_JSON_INTERVAL % row for row in rows)
+        fp.write(f"\n    ]{tail}\n")
+
+    _write(args.out, "--out", write)
 
 
 def _mpf_str(value, digits: int) -> str:
@@ -182,7 +202,7 @@ def cmd_construct(args, digits: int) -> None:
     stage.check_cap(args.cap)
     manifest = _manifest(args, digits, label=spec.label)
     if args.format == "json":
-        _write(args.out, "--out", lambda fp: write_stage_json(stage, fp, manifest))
+        _emit_json(args, manifest, {**stage_header(stage), "intervals": []}, (row[1:] for row in stage_rows(stage)))
     else:
         _write(args.out, "--out", lambda fp: write_stage_csv(stage, fp), manifest)
 

@@ -418,7 +418,8 @@ def write_stage_csv(stage: StageSet, fp) -> None:
     fp.writelines("%d,%d,%d,%d,%d\n" % row for row in stage_rows(stage))
 
 
-def _stage_header(stage: StageSet) -> dict:
+def stage_header(stage: StageSet) -> dict:
+    """The JSON fields of a stage before its interval array: label, base, depth, count and total length."""
     total = stage.total_length
     return {
         "label": stage.spec.label,
@@ -430,37 +431,12 @@ def _stage_header(stage: StageSet) -> dict:
 
 
 def stage_to_json(stage: StageSet, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
-    """JSON-ready dict with exact 'p/q' endpoint strings."""
+    """JSON-ready dict with exact 'p/q' endpoint strings.  No command calls it; it stays as the tests'
+    reference for the array ``cli`` streams, and as the benchmark's ``grids.export`` span target."""
     stage.check_cap(cap)
     return {
-        **_stage_header(stage),
+        **stage_header(stage),
         "intervals": [
             ["%d/%d" % (ln, ld), "%d/%d" % (rn, rd)] for _, ln, ld, rn, rd in stage_rows(stage)
         ],
     }
-
-
-# One interval of the array as json.dumps(indent=2) lays it out three levels deep.
-_JSON_INTERVAL = ',\n      [\n        "%d/%d",\n        "%d/%d"\n      ]'
-
-
-def write_stage_json(stage: StageSet, fp, manifest: dict) -> None:
-    """Stream ``{"manifest": manifest, "result": stage_to_json(stage)}`` to ``fp``.
-
-    The text is what ``json.dumps(..., indent=2)`` gives, plus a newline.
-    Only the manifest and the stage header go through ``json``; the interval
-    array is written straight from :func:`stage_rows`.  Like
-    :func:`write_stage_csv`, it enumerates the stage without a cap.
-    """
-    import json  # only exports use it, so `import fraczeta` does not load it
-
-    # "intervals" is the last key, so its empty array is the last "[]" of the text
-    head, tail = json.dumps(
-        {"manifest": manifest, "result": {**_stage_header(stage), "intervals": []}},
-        indent=2, allow_nan=False,
-    ).rsplit("[]", 1)
-    # every stage has at least one interval; the first one takes no comma
-    rows = stage_rows(stage)
-    fp.write(head + "[" + _JSON_INTERVAL[1:] % next(rows)[1:])
-    fp.writelines(_JSON_INTERVAL % row[1:] for row in rows)
-    fp.write(f"\n    ]{tail}\n")

@@ -1,8 +1,10 @@
 """Exact construction: retention rules, stages, addresses, IFS steps."""
 
+import contextlib
 import io
 import itertools
 import json
+from argparse import Namespace
 from fractions import Fraction
 from unittest import mock
 
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraczeta.grids as grids_module
+from fraczeta import cli
 
 from fraczeta.errors import (
     AddressError,
@@ -32,10 +35,10 @@ from fraczeta.grids import (
     make_pess_spec,
     make_zf_spec,
     self_similarity_check,
+    stage_header,
     stage_rows,
     stage_to_json,
     write_stage_csv,
-    write_stage_json,
 )
 from fraczeta.limits import DEFAULT_ENUMERATION_CAP
 
@@ -534,9 +537,10 @@ class TestIntegerEnumeration:
     @example(build_stage(make_pess_spec(), 0), 1, {"command": "construct"})
     @example(build_stage(GridSpec(base=3, label="one", constant=(2,)), 5), 1, {})
     def test_streamed_json_matches_json_dumps(self, stage, tail_size, manifest):
-        with mock.patch.object(grids_module, "_TAIL_SIZE", tail_size):
-            fp = io.StringIO()
-            write_stage_json(stage, fp, manifest)
+        # the call cmd_construct makes, written to stdout
+        with mock.patch.object(grids_module, "_TAIL_SIZE", tail_size), contextlib.redirect_stdout(io.StringIO()) as fp:
+            rows = (row[1:] for row in stage_rows(stage))
+            cli._emit_json(Namespace(out=None), manifest, {**stage_header(stage), "intervals": []}, rows)
             expected = json.dumps({"manifest": manifest, "result": stage_to_json(stage)}, indent=2) + "\n"
         got = fp.getvalue()
         assert first_difference(got.splitlines(), expected.splitlines()) is None
