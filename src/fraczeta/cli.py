@@ -1,12 +1,16 @@
 """Command-line surface for the package.
 
 One executable, one subcommand per capability.  JSON and CSV artifacts carry
-the run manifest, a CSV as its leading ``# manifest:`` line; text tables do
-not.  Numeric payloads are locale-independent and byte-identical across
-reruns with the same parameters (timestamps live only in the manifest).
+the run manifest: a JSON one in the ``{"manifest", "result"}`` envelope,
+which only ``_emit_json`` builds, a CSV as its leading ``# manifest:`` line,
+which only ``_write`` writes; text tables do not.  Numeric payloads are
+locale-independent and byte-identical across reruns with the same
+parameters (timestamps live only in the manifest).
 
 Exit codes: 0 success, 2 usage (argparse), 3 input error, 4 capacity
-error, 5 domain error, 6 parse error, 1 unexpected failure.
+error, 5 domain error, 6 parse error, 1 unexpected failure, or a reader
+that closed stdout before the output ended (``| head``), which exits
+with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -221,6 +225,10 @@ def _deepest_default_depth(base: int) -> int:
 def cmd_dimension(args, digits: int) -> None:
     from .dimension import box_dimension_fit, fit_point_rows, similarity_dimension
 
+    if args.method == "similarity":
+        for flag, value in (("--scales", args.scales), ("--points-csv", args.points_csv)):
+            if value is not None:
+                raise InputError("{flag} needs --method boxcount; the similarity method ignores it", flag=flag)
     spec = _spec_from_args(args, digits)
     manifest = _manifest(args, digits, label=spec.label)
     if args.method == "similarity":
@@ -673,7 +681,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so a closed stdout fails here, not in the flush at exit
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -550,6 +550,9 @@ EXIT_CASES = [
     (["multifractal", "--ratios", "1/4,1/4", "--weights", "1/2,1/2", "--q", ","], {}, InputError.exit_code),
     # K = 30 given at 300 digits would need about 383,000 terms
     (["zeta", "--s", "0.5", "--k", "30", "--digits", "300"], {}, CapacityError.exit_code),
+    # the similarity method would drop both flags without a word
+    (["dimension", "pess", "--method", "similarity", "--points-csv", "NO_DIR/p.csv"], {}, InputError.exit_code),
+    (["dimension", "pess", "--scales", "1/4,1/16,1/64"], {}, InputError.exit_code),
 ]
 
 # an error exit is reached within this many seconds
@@ -619,6 +622,14 @@ def test_exit_codes(capsys, monkeypatch, tmp_path, zeros_path, argv, env, code):
 def test_boxcount_scale_errors_name_the_scale_and_the_default_depths(capsys, argv, message):
     assert main(argv) == InputError.exit_code
     assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("flag,value", [("--points-csv", "p.csv"), ("--scales", "1/4,1/16,1/64")])
+def test_similarity_refuses_the_boxcount_flags(capsys, monkeypatch, tmp_path, flag, value):
+    monkeypatch.chdir(tmp_path)
+    assert main(["dimension", "pess", flag, value]) == InputError.exit_code
+    assert capsys.readouterr() == ("", f"error: {flag} needs --method boxcount; the similarity method ignores it\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -757,6 +768,20 @@ def test_q_grid_is_capped_by_its_point_count():
     assert grid("-1:1.9:0.5") == [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5]
     with pytest.raises(CapacityError, match=f"{MAX_Q_POINTS + 1} points"):
         grid(f"0:1:1/{MAX_Q_POINTS}")
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    src = Path(__file__).resolve().parents[1] / "src"
+    # about 160 KB of rows, more than the pipe and the stream buffers hold
+    argv = [sys.executable, "-m", "fraczeta.cli", "construct", "pess", "--depth", "12", "--format", "csv"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)},
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"# manifest: ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -219,9 +219,10 @@ def test_open_check_finds_each_caller():
     assert open_callers(source) == ["f", "g", "<module>"]
 
 
-# Every artifact the command line writes goes through one writer.
+# Every artifact the command line writes goes through one writer; entry opens
+# only os.devnull, to stand in for a stdout that its reader closed.
 def test_cli_opens_files_in_one_function():
-    assert open_callers((PACKAGE / "cli.py").read_text()) == ["_write"]
+    assert open_callers((PACKAGE / "cli.py").read_text()) == ["_write", "entry"]
 
 
 def comment_builders(source: str) -> list[str]:
@@ -258,6 +259,41 @@ def test_comment_check_finds_each_builder():
 def test_only_cli_write_builds_a_comment_line():
     found = [(path.name, owner) for path in sorted(PACKAGE.glob("*.py")) for owner in comment_builders(path.read_text())]
     assert found == [("cli.py", "_write")]
+
+
+def manifest_builders(source: str) -> list[str]:
+    """The function around each dict display with a "manifest" key, or ``dict(manifest=...)`` call, in source order."""
+    builders = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            keys = [getattr(key, "value", None) for key in child.keys] if isinstance(child, ast.Dict) else []
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "dict":
+                keys = [kw.arg for kw in child.keywords]
+            if "manifest" in keys:
+                builders.append(owner)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(ast.parse(source), "<module>")
+    return builders
+
+
+def test_manifest_check_finds_each_builder():
+    source = (
+        "def f(m, r):\n"
+        "    fp.write(json.dumps({'manifest': m, 'result': r}))\n"
+        "    def g(m):\n"
+        "        return dict(manifest=m)\n"
+        "    return {**m, 'result': r}, {'note': 'manifest'}, m['manifest'], {'m': {}}\n"
+        "ENVELOPE = {'result': None, 'manifest': None}\n"
+    )
+    assert manifest_builders(source) == ["f", "g", "<module>"]
+
+
+# The command line alone wraps a payload in the {"manifest", "result"} envelope of a JSON artifact.
+def test_only_cli_emit_json_builds_the_envelope():
+    found = [(path.name, owner) for path in sorted(PACKAGE.glob("*.py")) for owner in manifest_builders(path.read_text())]
+    assert found == [("cli.py", "_emit_json")]
 
 
 def test_zeros_and_limits_load_without_zeta():
