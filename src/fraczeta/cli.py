@@ -184,6 +184,12 @@ def _spec_from_args(args, digits: int) -> GridSpec:
     chosen = [bool(args.name), bool(args.zeros), args.modq is not None]
     if sum(chosen) != 1:
         raise InputError("choose exactly one of: a set name, --zeros FILE, or --modq/--keep")
+    if not args.zeros:
+        # a flag left at its default cannot be told from an absent one
+        for flag, given in (("--order", args.order != "standard"), ("--seed", args.seed is not None),
+                            ("--tol", args.tol != DEFAULT_BOUNDARY_TOL)):
+            if given:
+                raise InputError("{flag} needs --zeros; a set name or --modq ignores it", flag=flag)
     if args.name:
         return make_named_spec(args.name)
     if args.zeros:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import DomainError, InputError
@@ -114,21 +115,41 @@ def aligned_level(eps: Fraction, base: int) -> int | None:
     return k if base**k == q else None
 
 
+def _descent_count(levels: list[tuple[int, ...]], base: int, p: int, q: int) -> int:
+    """Boxes of width p/q met by the stage whose level-k retained digits are ``levels[k - 1]``.
+
+    The level-k cell [m, m + 1] / b**k spans boxes m*q // (b**k * p) to ceil((m + 1)*q / (b**k * p)) - 1.
+    Visited depth first in increasing order, a cell is skipped with its subtree when its boxes are all
+    counted already (up to ``last``); one inside a single box counts it, since every cell holds stage
+    of positive length; a leaf counts its boxes past ``last``.
+    """
+    dens = [p * base**k for k in range(len(levels) + 1)]
+    count, last, stack = 0, -1, [(0, 0)]
+    while stack:
+        k, m = stack.pop()
+        hi = -(-(m + 1) * q // dens[k]) - 1
+        if hi > last:
+            lo = m * q // dens[k]
+            if lo == hi or k == len(levels):
+                count += hi - max(lo, last + 1) + 1
+                last = hi
+            else:
+                stack.extend([(k + 1, m * base + d) for d in reversed(levels[k])])  # smallest pops first
+    return count
+
+
 def box_count(stage: StageSet, epsilon) -> int:
     """Number of grid boxes [j*eps, (j+1)*eps) overlapping the stage's union.
 
-    A box counts when its overlap with some stage interval has positive
-    length; touching at a single endpoint is not enough, so exactly
-    aligned scales reproduce the ancestor-cell counts.  An aligned scale
-    eps = b**-k is counted in closed form: the product of the first k
-    retained-set sizes for k <= depth, else ``interval_count * b**(k - depth)``.
-    Any other scale p/q indexes boxes exactly, by integer floor division of
-    each endpoint's numerator times q by its denominator times p.  Boxes
-    shared by neighbouring intervals are counted once.
-
-    A lone call is not capped: a non-aligned scale enumerates the whole
-    stage however large it is.  :func:`box_dimension_fit` checks its work
-    against ``limits.DEFAULT_ENUMERATION_CAP`` before it counts.
+    A box counts when its overlap with some stage interval has positive length, so an
+    aligned scale eps = b**-k counts the stage-k ancestor cells, in closed form: the product
+    of the first k retained-set sizes for k <= depth, else ``interval_count * b**(k - depth)``.
+    Any other scale p/q indexes boxes by integer floor division: a coarse one,
+    eps >= b**-(depth - 1), in a pruned descent of the digit tree (:func:`_descent_count`)
+    when the tree has at most twice as many nodes as the stage has intervals, else on each
+    interval's endpoints.  A lone call is not capped, but visits at most twice the interval
+    count in nodes; :func:`box_dimension_fit` checks its work against
+    ``limits.DEFAULT_ENUMERATION_CAP`` before it counts.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
@@ -140,15 +161,18 @@ def box_count(stage: StageSet, epsilon) -> int:
         # one box per stage-k ancestor cell
         return StageSet(spec=stage.spec, depth=k).interval_count
     p, q = eps.numerator, eps.denominator
-    count = 0
-    last = -1
-    # The loop reads intervals(), not numerators(): perfbench measures
+    if stage.depth and p * stage.spec.base ** (stage.depth - 1) >= q:
+        levels = [stage.spec.retained_at(k) for k in range(1, stage.depth + 1)]
+        # the tree's node count is at most twice its leaves' whenever every level keeps two digits
+        if sum(accumulate(map(len, levels), int.__mul__, initial=1)) <= 2 * stage.interval_count:
+            return _descent_count(levels, stage.spec.base, p, q)
+    count, last = 0, -1
+    # Leaf-level scales read intervals(), not numerators(): perfbench measures
     # dimension.boxes_per_interval from the intervals that box_count pulls
     # through StageSet.intervals, and reads null when it pulls none.
     for left, right in stage.intervals():
-        j_lo = left.numerator * q // (left.denominator * p)
+        j_lo = max(left.numerator * q // (left.denominator * p), last + 1)
         j_hi = -(-right.numerator * q // (right.denominator * p)) - 1  # ceil(right/eps) - 1
-        j_lo = max(j_lo, last + 1)
         if j_hi >= j_lo:
             count += j_hi - j_lo + 1
             last = j_hi
@@ -172,8 +196,9 @@ def box_dimension_fit(stage: StageSet, scales: Sequence) -> DimensionEstimate:
 
     Before any box is counted, the fit checks that it has at least 3
     positive scales, each with log(1/eps) in double precision, whose logs
-    are not all equal, and that counting at the scales that enumerate the
-    stage stays within ``limits.DEFAULT_ENUMERATION_CAP``.
+    are not all equal, and that counting at the non-aligned scales, each
+    charged the whole stage (an upper bound where a coarse scale descends
+    the digit tree), stays within ``limits.DEFAULT_ENUMERATION_CAP``.
     """
     base = stage.spec.base
     eps_list = sorted({Fraction(e) for e in scales}, reverse=True)
@@ -186,9 +211,8 @@ def box_dimension_fit(stage: StageSet, scales: Sequence) -> DimensionEstimate:
         raise InputError(
             "the {n} scales share one log(1/eps) in double precision; the fit needs two that differ", n=len(eps_list)
         )
-    # an aligned scale is counted in closed form; each other scale
-    # enumerates the whole stage once, and each interval costs arithmetic
-    # on its endpoints' and the scale's machine words
+    # an aligned scale is counted in closed form; each other scale enumerates the whole
+    # stage once at most, and each interval costs arithmetic on its endpoints' and the scale's machine words
     enumerated = [eps for eps in eps_list if aligned_level(eps, base) is None]
     scale_bits = max((max(eps.numerator.bit_length(), eps.denominator.bit_length())
                       for eps in enumerated), default=0)

@@ -553,6 +553,11 @@ EXIT_CASES = [
     # the similarity method would drop both flags without a word
     (["dimension", "pess", "--method", "similarity", "--points-csv", "NO_DIR/p.csv"], {}, InputError.exit_code),
     (["dimension", "pess", "--scales", "1/4,1/16,1/64"], {}, InputError.exit_code),
+    # --order, --seed and --tol act only on a zero file; without one they would be recorded as if they had acted
+    (["construct", "pess", "--depth", "1", "--order", "random", "--seed", "3"], {}, InputError.exit_code),
+    (["construct", "pess", "--depth", "1", "--tol", "0.5"], {}, InputError.exit_code),
+    (["dimension", "--modq", "6", "--keep", "1,5", "--method", "boxcount", "--depth", "3", "--seed", "4"], {},
+     InputError.exit_code),
 ]
 
 # an error exit is reached within this many seconds
@@ -629,6 +634,22 @@ def test_similarity_refuses_the_boxcount_flags(capsys, monkeypatch, tmp_path, fl
     monkeypatch.chdir(tmp_path)
     assert main(["dimension", "pess", flag, value]) == InputError.exit_code
     assert capsys.readouterr() == ("", f"error: {flag} needs --method boxcount; the similarity method ignores it\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["construct", "pess", "--depth", "1", "--order", "random"], "--order"),
+        (["construct", "--modq", "6", "--keep", "1,5", "--depth", "1", "--seed", "3"], "--seed"),
+        (["dimension", "pess", "--method", "boxcount", "--depth", "3", "--tol", "0.5"], "--tol"),
+        (["dimension", "cantor13", "--order", "random", "--seed", "3"], "--order"),
+    ],
+)
+def test_zero_file_flags_need_a_zero_file(capsys, monkeypatch, tmp_path, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "out.json"]) == InputError.exit_code
+    assert capsys.readouterr() == ("", f"error: {flag} needs --zeros; a set name or --modq ignores it\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraczeta import dimension
@@ -82,6 +82,55 @@ def box_cases(draw):
         st.fractions(min_value=cell / base, max_value=cell, max_denominator=fine),
     ))
     return build_stage(spec, depth), eps
+
+
+def reference_box_count(stage, eps: Fraction) -> int:
+    """The interval loop that counted every non-aligned scale before the digit-tree descent."""
+    p, q = eps.numerator, eps.denominator
+    count, last = 0, -1
+    for left, right in stage.intervals():
+        j_lo = max(left.numerator * q // (left.denominator * p), last + 1)
+        j_hi = -(-right.numerator * q // (right.denominator * p)) - 1
+        if j_hi >= j_lo:
+            count += j_hi - j_lo + 1
+            last = j_hi
+    return count
+
+
+# the reference loop builds every interval as Fractions, so a drawn stage
+# holds at most about this many
+MAX_REFERENCE_INTERVALS = 8192
+
+
+@st.composite
+def descent_cases(draw):
+    """A stage of up to MAX_REFERENCE_INTERVALS intervals, past the brute force's budget, and eps in [b**-depth, 2].
+
+    The spec is constant, per-level (where any level may keep a single
+    digit) or a ``make_zf_spec`` one, base 2-12, depth 0-14.  eps is f / b**k
+    for a level k and a fraction f in [1, b] ([1, 2] at k = 0), so every
+    level's scales are drawn.
+    """
+    kind = draw(st.sampled_from(["constant", "per-level", "zf"]))
+    base = 4 if kind == "zf" else draw(st.integers(2, 12))
+    depth = draw(st.integers(0, 13 if kind == "zf" else 14))
+    if kind == "zf":
+        spec = make_zf_spec(draw(st.lists(st.integers(0, 3), min_size=max(depth, 1), max_size=depth + 2)))
+    elif kind == "constant":
+        top = max(s for s in range(1, base) if s**depth <= MAX_REFERENCE_INTERVALS)
+        size = draw(st.integers(1, top))
+        digits = draw(st.lists(st.integers(0, base - 1), min_size=size, max_size=size, unique=True))
+        spec = GridSpec(base=base, label="constant", constant=tuple(digits))
+    else:
+        levels, count = [], 1
+        for _ in range(depth + 1):  # one level past the stage, unused
+            size = draw(st.integers(1, max(1, min(base - 1, MAX_REFERENCE_INTERVALS // count))))
+            levels.append(tuple(draw(st.lists(st.integers(0, base - 1), min_size=size, max_size=size, unique=True))))
+            count *= size
+        spec = GridSpec(base=base, label="per-level", per_level=tuple(levels))
+    k = draw(st.integers(0, depth))
+    f = draw(st.fractions(min_value=1, max_value=2 if k == 0 else base, max_denominator=10**4))
+    return build_stage(spec, depth), f / base**k
 
 
 class TestSimilarityDimension:
@@ -191,6 +240,18 @@ class TestBoxCount:
         stage, eps = case
         assert box_count(stage, eps) == brute_force_box_count(stage, eps)
 
+    @settings(max_examples=200, deadline=None)
+    @given(descent_cases())
+    # a one-digit chain converges on 1/3, a box boundary: counted on the leaves
+    @example((build_stage(GridSpec(base=4, label="one-digit", constant=(1,)), 14), F(1, 3)))
+    # the finest scale the descent takes, and non-aligned scales either side of it
+    @example((build_stage(make_pess_spec(), 12), F(1, 4**11)))
+    @example((build_stage(make_pess_spec(), 12), F(3, 3 * 4**11 - 1)))
+    @example((build_stage(make_pess_spec(), 12), F(3, 3 * 4**11 + 1)))
+    def test_matches_the_interval_loop_on_large_stages(self, case):
+        stage, eps = case
+        assert box_count(stage, eps) == reference_box_count(stage, eps)
+
     def test_epsilon_validation(self):
         stage = build_stage(make_pess_spec(), 2)
         with pytest.raises(InputError):
@@ -201,9 +262,11 @@ class TestBoxCount:
     @pytest.mark.parametrize(
         "eps,aligned",
         [(F(1, 4**7), True), (F(1), True), (F(1, 4**900), True), (F(1, 2 * 4**7), False),
-         (F(2, 4**7), False), (F(1, 4**900 + 1), False), (F(3, 7), False)],
+         (F(2, 4**7), False), (F(1, 4**900 + 1), False), (F(3, 7), False), (F(5, 4**6), False)],
     )
     def test_closed_form_pulls_no_interval(self, monkeypatch, eps, aligned):
+        # aligned scales are counted in closed form and coarse ones (eps >= 4^-5,
+        # as 3/7 and 5/4^6 are) by the digit-tree descent; leaf-level ones pull every interval
         stage = build_stage(make_pess_spec(), 6)
         pulled = 0
         intervals = StageSet.intervals
@@ -216,7 +279,15 @@ class TestBoxCount:
 
         monkeypatch.setattr(StageSet, "intervals", counted)
         box_count(stage, eps)
-        assert pulled == (0 if aligned else stage.interval_count)
+        assert pulled == (0 if aligned or eps >= F(1, 4**5) else stage.interval_count)
+
+    def test_coarse_scale_on_a_deep_stage_pulls_no_interval(self, monkeypatch):
+        # 2^40 intervals: only the descent can count this in time
+        def refuse(self):
+            raise AssertionError("box_count enumerated the stage")
+
+        monkeypatch.setattr(StageSet, "intervals", refuse)
+        assert box_count(build_stage(make_pess_spec(), 40), F(1, 3)) == 3
 
     @pytest.mark.parametrize("base", [2, 3, 4, 7, 10, 10**30])
     def test_aligned_level_finds_every_power(self, base):
