@@ -163,7 +163,7 @@ def box_count(stage: StageSet, epsilon) -> int:
     p, q = eps.numerator, eps.denominator
     if stage.depth and p * stage.spec.base ** (stage.depth - 1) >= q:
         levels = [stage.spec.retained_at(k) for k in range(1, stage.depth + 1)]
-        # the tree's node count is at most twice its leaves' whenever every level keeps two digits
+        # the tree's node count is at most twice its leaves' whenever every level keeps at least two digits
         if sum(accumulate(map(len, levels), int.__mul__, initial=1)) <= 2 * stage.interval_count:
             return _descent_count(levels, stage.spec.base, p, q)
     count, last = 0, -1
