@@ -60,7 +60,6 @@ _EXPORTS = {
         "IfsMap",
         "StageSet",
         "address_to_point",
-        "apply_ifs_step",
         "build_stage",
         "ifs_of_grid",
         "make_named_spec",
@@ -88,7 +87,6 @@ _EXPORTS = {
     ),
     "zeta": (
         "ZetaValue",
-        "bernoulli_numbers",
         "functional_equation_residual",
         "gamma_real",
         "zeta_euler_maclaurin",

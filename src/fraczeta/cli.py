@@ -23,6 +23,7 @@ import sys
 import time
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -35,8 +36,8 @@ from .grids import (
     ifs_of_grid,
     make_named_spec,
     make_zf_spec,
+    row_blocks,
     stage_header,
-    stage_rows,
     write_stage_csv,
 )
 from .limits import (
@@ -105,21 +106,22 @@ def _write_lines(path: str | None, flag: str, lines, manifest: dict | None = Non
 _JSON_INTERVAL = ',\n      [\n        "%d/%d",\n        "%d/%d"\n      ]'
 
 
-def _emit_json(args, manifest: dict, result, rows=None) -> None:
+def _emit_json(args, manifest: dict, result, blocks=None) -> None:
     """Write ``{"manifest": manifest, "result": result}`` as ``json.dumps(..., indent=2)`` does, plus a newline.
 
-    ``rows``, an iterator of at least one ``(p, q, r, s)``, fills the empty list that ends ``result``
-    with ``["p/q", "r/s"]`` pairs, streamed straight from the integers.
+    ``blocks``, an iterator of at least one ``(p, q, r, s)`` tuple of integer columns, fills the empty list that
+    ends ``result`` with ``["p/q", "r/s"]`` pairs, straight from the integers, each block by one ``%``.
     """
     text = json.dumps({"manifest": manifest, "result": result}, indent=2, allow_nan=False)
-    if rows is None:
+    if blocks is None:
         return _write(args.out, "--out", lambda fp: fp.write(text + "\n"))
     # the list is the last value, so its "[]" is the last one of the text
     head, tail = text.rsplit("[]", 1)
 
     def write(fp):
-        fp.write(head + "[" + _JSON_INTERVAL[1:] % next(rows))  # the first pair takes no comma
-        fp.writelines(_JSON_INTERVAL % row for row in rows)
+        texts = ((_JSON_INTERVAL * len(columns[0])) % tuple(chain.from_iterable(zip(*columns))) for columns in blocks)
+        fp.write(head + "[" + next(texts)[1:])  # the first pair takes no comma
+        fp.writelines(texts)
         fp.write(f"\n    ]{tail}\n")
 
     _write(args.out, "--out", write)
@@ -212,7 +214,7 @@ def cmd_construct(args, digits: int) -> None:
     stage.check_cap(args.cap)
     manifest = _manifest(args, digits, label=spec.label)
     if args.format == "json":
-        _emit_json(args, manifest, {**stage_header(stage), "intervals": []}, (row[1:] for row in stage_rows(stage)))
+        _emit_json(args, manifest, {**stage_header(stage), "intervals": []}, (b[1:] for b in row_blocks(stage)))
     else:
         _write(args.out, "--out", lambda fp: write_stage_csv(stage, fp), manifest)
 
@@ -554,8 +556,16 @@ def cmd_multifractal(args, digits: int) -> None:
 class _Parser(argparse.ArgumentParser):
     """An argument parser, each subcommand's too, whose usage errors show their message by ``errors.usage_text``."""
 
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        # what a usage error may echo: an argument, the value after an option's "=", the unrecognized ones joined
+        self.echoed = [*args, *(arg.partition("=")[2] for arg in args)]
+        namespace, extras = super().parse_known_args(args, namespace)
+        self.echoed.append(" ".join(extras))
+        return namespace, extras
+
     def error(self, message):
-        super().error(usage_text(message))
+        super().error(usage_text(message, getattr(self, "echoed", ())))
 
 
 def build_parser() -> argparse.ArgumentParser:

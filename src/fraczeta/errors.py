@@ -41,10 +41,14 @@ def shown(value):
     return short if n >= len(short) else f"{short[:n]}... ({len(text)} characters)"
 
 
-def usage_text(message: str) -> str:
-    """An argparse usage error's ``message``, the arguments it echoes included, shown as one text by :func:`shown`,
-    less argparse's list of choices: the usage line printed above the message shows that whole."""
-    return shown(message.rpartition(" (choose from ")[0] or message)
+def usage_text(message: str, echoed=()) -> str:
+    """An argparse usage error's ``message`` less its choices (the usage line above shows them), each ``echoed`` text
+    in it that :func:`shown` cuts shown alone, in quotes where argparse wrote its ``repr``, or else it as one text."""
+    message = message.rpartition(" (choose from ")[0] or message
+    cut = [text for text in set(echoed) if shown(text) != text and (text in message or repr(text) in message)]
+    for text in sorted(cut, key=len, reverse=True):
+        message = message.replace(repr(text), repr(shown(text))).replace(text, shown(text))
+    return message if cut else shown(message)
 
 
 class FraczetaError(Exception):

@@ -15,21 +15,20 @@ lazily and only materialized under an explicit cap.
 
 from __future__ import annotations
 
-import itertools
+import functools
+from itertools import chain, product
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
-from typing import Iterable, Iterator, Sequence
+from operator import add
+from typing import Iterator, Sequence
 
 from .errors import AddressError, InputError, UnsupportedStructureError
 from .limits import DEFAULT_ENUMERATION_CAP, MAX_STAGE_BITS, as_integer, check_work
 
-# StageSet.numerators builds the numerators of the deepest levels once, as a
-# list of at most this many integers, and shifts a copy of it per upper-level
-# prefix: the list bounds memory, its length amortises the per-prefix work.
-_TAIL_SIZE = 4096
-
-Interval = tuple[Fraction, Fraction]
+# The deepest levels' numerators (the tails) are built once, at most this many, and shifted per upper-level prefix:
+# this bounds memory; an export reduces each tail once, at about a row's cost, so a longer list saves it less.
+_TAIL_SIZE = 1024
 
 NAMED_SPECS = {
     "pess": (4, (1, 3)),
@@ -172,8 +171,8 @@ class StageSet:
     """Stage ``depth`` of a grid construction, counted and measured exactly.
 
     Interval count and total length come straight from the retention
-    rule; the interval list itself is produced lazily by
-    :meth:`intervals` and only turned into a list under a cap.
+    rule; the intervals themselves are produced lazily, by
+    :meth:`numerators` and :meth:`intervals`.
     """
 
     spec: GridSpec
@@ -190,20 +189,11 @@ class StageSet:
 
     def numerators(self) -> Iterator[int]:
         """Yield each interval's left endpoint times ``base**depth``, increasing."""
-        b = self.spec.base
-        levels = [self.spec.retained_at(k) for k in range(1, self.depth + 1)]
-        tails, shift, split = [0], 1, self.depth
-        while split and len(tails) * len(levels[split - 1]) <= _TAIL_SIZE:
-            split -= 1
-            tails = [d * shift + t for d in levels[split] for t in tails]
-            shift *= b
-        for prefix in itertools.product(*levels[:split]):
-            head = 0
-            for d in prefix:
-                head = head * b + d
+        heads, tails, shift = _split(self)
+        for head in heads:
             yield from map((head * shift).__add__, tails)
 
-    def intervals(self) -> Iterator[Interval]:
+    def intervals(self) -> Iterator[tuple[Fraction, Fraction]]:
         """Yield closed intervals in increasing order of left endpoint."""
         den = self.spec.base**self.depth
         for num in self.numerators():
@@ -216,9 +206,19 @@ class StageSet:
             depth=self.depth, label=self.spec.label,
         )
 
-    def materialize(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Interval]:
-        self.check_cap(cap)
-        return list(self.intervals())
+
+def _split(stage: StageSet) -> tuple[Iterator[int], list[int], int]:
+    """The stage's numerators as ``head * shift + tail``: the heads (the upper levels' numerators, increasing,
+    lazily), the tails (the deepest levels' numerators, at most ``_TAIL_SIZE`` of them) and ``shift``."""
+    b = stage.spec.base
+    levels = [stage.spec.retained_at(k) for k in range(1, stage.depth + 1)]
+    tails, shift, split = [0], 1, stage.depth
+    while split and len(tails) * len(levels[split - 1]) <= _TAIL_SIZE:
+        split -= 1
+        tails = [d * shift + t for d in levels[split] for t in tails]
+        shift *= b
+    heads = (functools.reduce(lambda n, d: n * b + d, prefix, 0) for prefix in product(*levels[:split]))
+    return heads, tails, shift
 
 
 def make_pess_spec() -> GridSpec:
@@ -304,37 +304,6 @@ def ifs_of_grid(spec: GridSpec, weights: Sequence[Fraction] | None = None) -> Ge
 
 
 @dataclass(frozen=True)
-class IfsStepResult:
-    """Images of one IFS application plus any interior overlaps found."""
-
-    intervals: tuple[Interval, ...]
-    overlaps: tuple[tuple[Interval, Interval], ...]
-
-
-def apply_ifs_step(ifs: GeneralIfsSpec, intervals: Iterable[Interval]) -> IfsStepResult:
-    """Image of every interval under every map, exactly and without merging.
-
-    Images whose interiors intersect are reported in ``overlaps``;
-    shared endpoints do not count as overlap.
-    """
-    images: list[Interval] = []
-    for left, right in intervals:
-        left = Fraction(left)
-        right = Fraction(right)
-        if right < left:
-            raise InputError("interval [{left}, {right}] is reversed", left=left, right=right)
-        for m in ifs.maps:
-            images.append((m.ratio * left + m.offset, m.ratio * right + m.offset))
-    ordered = sorted(images)
-    overlaps = tuple(
-        (a, b)
-        for a, b in itertools.pairwise(ordered)
-        if b[0] < a[1]
-    )
-    return IfsStepResult(intervals=tuple(images), overlaps=overlaps)
-
-
-@dataclass(frozen=True)
 class SelfSimilarityReport:
     """Outcome of the exact stage-against-images equality check."""
 
@@ -403,19 +372,43 @@ def self_similarity_check(
     return SelfSimilarityReport(ok=True, spec_label=spec.label, levels_checked=depth)
 
 
-def stage_rows(stage: StageSet) -> Iterator[tuple[int, int, int, int, int]]:
-    """CSV-ready rows (index, left_num, left_den, right_num, right_den), in lowest terms."""
+def _tail_terms(tails: list[int], shift: int, den: int, base: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """``(mults, offsets, dens, odd)``: (head * shift + t) / den is (head * mults[i] + offsets[i]) / dens[i] in lowest
+    terms for the i-th tail t and every head, unless i is in ``odd``.  With g = gcd(t, shift), it holds when every
+    prime of the base divides shift // g (so the power of each in t is below its power in shift), which one ``pow``
+    tests without factoring, as no prime's power in the base exceeds its bit length."""
+    gs = [gcd(t, shift) for t in tails]
+    odd = [i for i, g in enumerate(gs) if pow(shift // g, base.bit_length(), base)]
+    return [shift // g for g in gs], [t // g for t, g in zip(tails, gs)], [den // g for g in gs], odd
+
+
+def row_blocks(stage: StageSet) -> Iterator[tuple[range, list[int], list[int], list[int], list[int]]]:
+    """The stage's export rows, one block per head: its index range and columns of left numerators, left denominators,
+    right numerators and right denominators, in lowest terms.  Each tail is reduced once, and the few that the head
+    changes (t = 0, t + 1 = shift, some in composite bases) once per row.  Blocks share denominator lists: read only."""
+    heads, tails, shift = _split(stage)
     den = stage.spec.base**stage.depth
-    for i, num in enumerate(stage.numerators()):
-        g = gcd(num, den)
-        h = gcd(num + 1, den)
-        yield (i, num // g, den // g, (num + 1) // h, den // h)
+    ends = [(step, *_tail_terms([t + step for t in tails], shift, den, stage.spec.base)) for step in (0, 1)]
+    for start, head in enumerate(heads):
+        columns = []
+        for step, mults, offsets, dens, odd in ends:
+            nums = list(map(add, map(head.__mul__, mults), offsets))
+            dens = dens.copy() if odd else dens
+            for i in odd:
+                nums[i], dens[i] = Fraction(head * shift + tails[i] + step, den).as_integer_ratio()
+            columns += (nums, dens)
+        yield (range(start * len(tails), (start + 1) * len(tails)), *columns)
+
+
+def stage_rows(stage: StageSet) -> Iterator[tuple[int, int, int, int, int]]:
+    """CSV-ready rows (index, left_num, left_den, right_num, right_den), in lowest terms: :func:`row_blocks` zipped."""
+    return chain.from_iterable(zip(*block) for block in row_blocks(stage))
 
 
 def write_stage_csv(stage: StageSet, fp) -> None:
-    """Stream a stage as CSV with exact integer endpoint columns: a header, then one row per interval."""
+    """Stream a stage as CSV with exact integer endpoint columns: a header, then each block of rows by one ``%``."""
     fp.write("index,left_numerator,left_denominator,right_numerator,right_denominator\n")
-    fp.writelines("%d,%d,%d,%d,%d\n" % row for row in stage_rows(stage))
+    fp.writelines(("%d,%d,%d,%d,%d\n" * len(b[0])) % tuple(chain.from_iterable(zip(*b))) for b in row_blocks(stage))
 
 
 def stage_header(stage: StageSet) -> dict:

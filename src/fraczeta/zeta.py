@@ -66,11 +66,6 @@ MAX_ZETA_S = 10**6
 _GUARD = 10
 
 
-def bernoulli_numbers(upto: int) -> list[Fraction]:
-    """Exact B_0..B_upto (B_1 = -1/2) from mpmath."""
-    return [Fraction(*mp.bernfrac(k)) for k in range(upto + 1)]
-
-
 def _to_exact(s) -> Fraction:
     """Exact rational view of an argument given as int/float/str/Fraction."""
     if isinstance(s, Fraction):

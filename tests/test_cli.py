@@ -558,6 +558,11 @@ EXIT_CASES = [
     (["construct", "pess", "--depth", "1", "--tol", "0.5"], {}, InputError.exit_code),
     (["dimension", "--modq", "6", "--keep", "1,5", "--method", "boxcount", "--depth", "3", "--seed", "4"], {},
      InputError.exit_code),
+    # a usage error shows an echoed argument by its own length, given after "=" or with escapes too
+    pytest.param(["construct", "pess", "--depth", "1", "--tol=" + "x" * 4000], {}, 2,
+                 id="construct pess --depth 1 --tol=x...x (4000 characters)"),
+    pytest.param(["construct", "pess", "--depth", "1", "--tol", "\x01" * 4000], {}, 2,
+                 id="construct pess --depth 1 --tol \\x01...\\x01 (4000 characters)"),
 ]
 
 # an error exit is reached within this many seconds
@@ -738,6 +743,28 @@ def test_a_usage_error_still_shows_every_valid_choice(capsys, argv, choices):
         main(argv)
     assert exc.value.code == 2
     assert f"{{{choices}}}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["construct", "pess", "--depth", "1", "--tol", "x" * 4000],
+         f"fraczeta construct: error: argument --tol: invalid float value: '{'x' * 80}... (4000 characters)'"),
+        (["construct", "pess", "--depth", "1", "--tol=" + "x" * 4000],
+         f"fraczeta construct: error: argument --tol: invalid float value: '{'x' * 80}... (4000 characters)'"),
+        (["construct", "pess", "--depth", "1", "--tol", "\x01" * 4000],
+         "fraczeta construct: error: argument --tol: invalid float value: '" + "\\x01" * 20 + "... (4000 characters)'"),
+        (["construct", "pess", "--depth", "1", "y" * 100, "z" * 4000],
+         f"fraczeta: error: unrecognized arguments: {'y' * 80}... (4101 characters)"),
+        (["x" * 4000], f"fraczeta: error: argument command: invalid choice: '{'x' * 80}... (4000 characters)'"),
+    ],
+    ids=["tol", "tol=", "tol escapes", "unrecognized", "command"],
+)
+def test_a_usage_error_shows_the_argument_it_echoes_by_its_own_length(capsys, argv, line):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == line
 
 
 def test_a_long_bad_line_is_cut_in_its_parse_error(capsys, tmp_path):

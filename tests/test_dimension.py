@@ -35,7 +35,7 @@ F = Fraction
 
 def brute_force_box_count(stage, eps: Fraction) -> int:
     """Independent oracle: test every grid box for positive-length overlap."""
-    items = stage.materialize()
+    items = list(stage.intervals())
     boxes = 0
     j = 0
     top = max(hi for _, hi in items)

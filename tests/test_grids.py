@@ -1,4 +1,4 @@
-"""Exact construction: retention rules, stages, addresses, IFS steps."""
+"""Exact construction: retention rules, stages, addresses, IFS maps, self-similarity and exports."""
 
 import contextlib
 import io
@@ -6,6 +6,7 @@ import itertools
 import json
 from argparse import Namespace
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -28,13 +29,13 @@ from fraczeta.grids import (
     IfsMap,
     SelfSimilarityReport,
     address_to_point,
-    apply_ifs_step,
     build_stage,
     ifs_of_grid,
     make_named_spec,
     make_pess_spec,
     make_zf_spec,
     self_similarity_check,
+    row_blocks,
     stage_header,
     stage_rows,
     stage_to_json,
@@ -45,8 +46,21 @@ from fraczeta.limits import DEFAULT_ENUMERATION_CAP
 F = Fraction
 
 
+def materialize(stage, cap=DEFAULT_ENUMERATION_CAP):
+    """The stage's intervals as a list, refused past ``cap`` as every enumeration in the package is."""
+    stage.check_cap(cap)
+    return list(stage.intervals())
+
+
 def intervals(spec, depth):
-    return build_stage(spec, depth).materialize()
+    return materialize(build_stage(spec, depth))
+
+
+# The Fraction-interval IFS step that the integer self-similarity check
+# replaced, kept as the reference that checks ifs_of_grid's maps.
+def apply_ifs_step(ifs, items):
+    """The image of every interval under every map, exactly and without merging."""
+    return [(m.ratio * left + m.offset, m.ratio * right + m.offset) for left, right in items for m in ifs.maps]
 
 
 class TestSpecs:
@@ -172,11 +186,11 @@ class TestStages:
     def test_materialization_cap(self):
         stage = build_stage(make_pess_spec(), 24)
         with pytest.raises(CapacityError, match="1048576"):
-            stage.materialize()
+            materialize(stage)
         small = build_stage(make_pess_spec(), 8)
         with pytest.raises(CapacityError, match="cap 100"):
-            small.materialize(cap=100)
-        assert len(small.materialize(cap=256)) == 256
+            materialize(small, cap=100)
+        assert len(materialize(small, cap=256)) == 256
 
     def test_nesting_depth_8(self):
         # every stage-(n+1) interval sits inside exactly one stage-n interval
@@ -191,7 +205,7 @@ class TestStages:
     def test_intervals_sorted_disjoint_equal_length(self):
         spec = make_named_spec("mod8")
         stage = build_stage(spec, 3)
-        items = stage.materialize()
+        items = materialize(stage)
         length = F(1, 8**3)
         for (alo, ahi), (blo, bhi) in zip(items, items[1:]):
             assert ahi - alo == length
@@ -256,46 +270,18 @@ class TestAddresses:
 class TestIfs:
     def test_pess_maps_on_unit_interval(self):
         ifs = ifs_of_grid(make_pess_spec())
-        result = apply_ifs_step(ifs, [(F(0), F(1))])
-        assert sorted(result.intervals) == [(F(1, 4), F(1, 2)), (F(3, 4), F(1))]
-        assert result.overlaps == ()
-
-    def test_identity_map_returns_input(self):
-        ident = GeneralIfsSpec(maps=(IfsMap(ratio=F(1), offset=F(0)),))
-        items = [(F(1, 3), F(1, 2)), (F(2, 3), F(5, 6))]
-        assert list(apply_ifs_step(ident, items).intervals) == items
+        assert sorted(apply_ifs_step(ifs, [(F(0), F(1))])) == [(F(1, 4), F(1, 2)), (F(3, 4), F(1))]
 
     def test_cantor13_maps(self):
         ifs = ifs_of_grid(make_named_spec("cantor13"))
-        result = apply_ifs_step(ifs, [(F(0), F(1))])
-        assert sorted(result.intervals) == [(F(0), F(1, 8)), (F(7, 8), F(1))]
-
-    def test_overlap_reported_not_merged(self):
-        ifs = GeneralIfsSpec(
-            maps=(
-                IfsMap(ratio=F(3, 4), offset=F(0)),
-                IfsMap(ratio=F(3, 4), offset=F(1, 4)),
-            )
-        )
-        result = apply_ifs_step(ifs, [(F(0), F(1))])
-        assert len(result.intervals) == 2
-        assert len(result.overlaps) == 1
-
-    def test_touching_endpoints_are_not_overlap(self):
-        ifs = GeneralIfsSpec(
-            maps=(
-                IfsMap(ratio=F(1, 2), offset=F(0)),
-                IfsMap(ratio=F(1, 2), offset=F(1, 2)),
-            )
-        )
-        assert apply_ifs_step(ifs, [(F(0), F(1))]).overlaps == ()
+        assert sorted(apply_ifs_step(ifs, [(F(0), F(1))])) == [(F(0), F(1, 8)), (F(7, 8), F(1))]
 
     def test_iterated_ifs_reproduces_stages(self):
         spec = make_pess_spec()
         ifs = ifs_of_grid(spec)
         current = [(F(0), F(1))]
         for n in range(1, 7):
-            current = sorted(apply_ifs_step(ifs, current).intervals)
+            current = sorted(apply_ifs_step(ifs, current))
             assert current == intervals(spec, n)
 
     def test_weights_must_sum_to_one(self):
@@ -334,10 +320,10 @@ def reference_self_similarity_check(spec, depth, cap=DEFAULT_ENUMERATION_CAP):
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
     ifs = grids_module.ifs_of_grid(spec)
-    current = build_stage(spec, 0).materialize(cap)
+    current = materialize(build_stage(spec, 0), cap)
     for n in range(depth):
-        expected = sorted(build_stage(spec, n + 1).materialize(cap))
-        images = sorted(apply_ifs_step(ifs, current).intervals)
+        expected = sorted(materialize(build_stage(spec, n + 1), cap))
+        images = sorted(apply_ifs_step(ifs, current))
         if images != expected:
             return SelfSimilarityReport(
                 ok=False,
@@ -539,8 +525,8 @@ class TestIntegerEnumeration:
     def test_streamed_json_matches_json_dumps(self, stage, tail_size, manifest):
         # the call cmd_construct makes, written to stdout
         with mock.patch.object(grids_module, "_TAIL_SIZE", tail_size), contextlib.redirect_stdout(io.StringIO()) as fp:
-            rows = (row[1:] for row in stage_rows(stage))
-            cli._emit_json(Namespace(out=None), manifest, {**stage_header(stage), "intervals": []}, rows)
+            blocks = (block[1:] for block in row_blocks(stage))
+            cli._emit_json(Namespace(out=None), manifest, {**stage_header(stage), "intervals": []}, blocks)
             expected = json.dumps({"manifest": manifest, "result": stage_to_json(stage)}, indent=2) + "\n"
         got = fp.getvalue()
         assert first_difference(got.splitlines(), expected.splitlines()) is None
@@ -554,3 +540,51 @@ class TestIntegerEnumeration:
     def test_json_checks_cap_before_enumerating(self):
         with pytest.raises(CapacityError):
             stage_to_json(build_stage(make_pess_spec(), 60))
+
+
+def constant_stage(base, retained, depth):
+    return build_stage(GridSpec(base=base, label="constant", constant=retained), depth)
+
+
+class TestRowBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(stages(), tail_sizes)
+    # the cases where the head changes a tail's gcd, each with tails short enough to leave several heads:
+    # a retained 0 (t = 0), all-(b-1) tails (t + 1 = shift), composite bases with repeated primes,
+    # a --modq-sized base, and depth 0
+    @example(constant_stage(4, (0, 1), 6), 4)
+    @example(constant_stage(3, (0, 2), 8), 4)
+    @example(constant_stage(12, (0, 4, 8), 4), 9)
+    @example(constant_stage(8, (0, 7), 6), 4)
+    @example(constant_stage(10**30, (1, 3, 5, 7), 2), 4)
+    @example(constant_stage(10**30, (1, 3, 5, 7), 2), grids_module._TAIL_SIZE)
+    @example(build_stage(make_pess_spec(), 0), 1)
+    def test_rows_csv_and_streamed_json_match_reference(self, stage, tail_size):
+        with mock.patch.object(grids_module, "_TAIL_SIZE", tail_size):
+            blocks = list(row_blocks(stage))
+            rows = list(stage_rows(stage))
+            fp = io.StringIO()
+            write_stage_csv(stage, fp)
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                header = {**stage_header(stage), "intervals": []}
+                cli._emit_json(Namespace(out=None), {}, header, (block[1:] for block in blocks))
+        assert all(len(set(map(len, block))) == 1 for block in blocks)
+        assert [i for block in blocks for i in block[0]] == list(range(stage.interval_count))
+        assert first_difference(rows, list(reference_rows(stage))) is None
+        assert first_difference(fp.getvalue().splitlines(), reference_csv(stage).splitlines()) is None
+        expected = json.dumps({"manifest": {}, "result": reference_json(stage)}, indent=2) + "\n"
+        assert first_difference(out.getvalue().splitlines(), expected.splitlines()) is None
+        assert out.getvalue() == expected
+
+    @pytest.mark.parametrize("base", range(2, 25))
+    @pytest.mark.parametrize("tail_levels", [1, 2])
+    def test_the_head_changes_a_tail_gcd_exactly_when_the_pow_rule_fails(self, base, tail_levels):
+        # every tail t in 0..shift, left ends and right ends alike, under every head of one more level
+        shift = base**tail_levels
+        den = shift * base
+        mults, offsets, dens, odd = grids_module._tail_terms(list(range(shift + 1)), shift, den, base)
+        for t in range(shift + 1):
+            ends = [F(head * shift + t, den) for head in range(base)]
+            assert (t in odd) == any(gcd(head * shift + t, den) != gcd(t, shift) for head in range(base)), t
+            if t not in odd:
+                assert ends == [F(head * mults[t] + offsets[t], dens[t]) for head in range(base)], t

@@ -75,3 +75,12 @@ def test_a_usage_message_is_one_text_without_its_choices():
     assert usage_text("the following arguments are required: --depth") == (
         "the following arguments are required: --depth"
     )
+
+
+def test_a_usage_message_shows_an_echoed_text_on_its_own():
+    text = "x" * 4000
+    message = f"argument --tol: invalid float value: {text!r}"
+    shown_alone = f"argument --tol: invalid float value: '{'x' * MAX_SHOWN_TEXT}... (4000 characters)'"
+    assert usage_text(message, ["--tol", text, "1"]) == shown_alone
+    # a message that echoes none of the texts given is shown as one text
+    assert usage_text(message, ["--tol"]) == message[:MAX_SHOWN_TEXT] + f"... ({len(message)} characters)"

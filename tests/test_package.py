@@ -15,8 +15,8 @@ PUBLIC_NAMES = [
     "DimensionEstimate", "DomainError", "FraczetaError", "GeneralIfsSpec", "GridSpec", "IfsMap",
     "InfoCardinality", "InputError", "LogRatio", "MultifractalPoint", "ParseError", "PoleError",
     "RetentionConfig", "StageSet", "SubcriticalRetentionWarning", "TrialOutcome", "TrialRun",
-    "UnsupportedStructureError", "ZeroTable", "ZetaValue", "address_to_point", "apply_ifs_step",
-    "axiom_suite", "bernoulli_numbers", "box_count", "box_dimension_fit", "build_stage",
+    "UnsupportedStructureError", "ZeroTable", "ZetaValue", "address_to_point", "axiom_suite",
+    "box_count", "box_dimension_fit", "build_stage",
     "cardinality", "catalog", "compare", "compare_extended", "compare_trace", "conservation_report",
     "digit_stats", "digitize", "dimension", "errors", "expected_dimension",
     "functional_equation_residual", "gamma_real", "grids", "ifs_of_grid", "limits",

@@ -26,7 +26,6 @@ from fraczeta.zeta import (
     _bernoulli_coeff,
     _log_int,
     _power,
-    bernoulli_numbers,
     certified_digits,
     default_correction_K,
     functional_equation_residual,
@@ -60,6 +59,11 @@ class TestFractionFromText:
     def test_rejects_large_exponents_and_garbage(self, text):
         with pytest.raises(ValueError):
             fraction_from_text(text)
+
+
+def bernoulli_numbers(upto):
+    """Exact B_0..B_upto (B_1 = -1/2), as mpmath gives the B_2k that the correction terms read."""
+    return [Fraction(*mp.bernfrac(k)) for k in range(upto + 1)]
 
 
 class TestBernoulli:
