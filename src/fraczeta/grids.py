@@ -16,9 +16,9 @@ lazily and only materialized under an explicit cap.
 from __future__ import annotations
 
 import functools
-from itertools import chain, product
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, product
 from math import gcd, prod
 from operator import add
 from typing import Iterator, Sequence
