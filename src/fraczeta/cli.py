@@ -192,6 +192,8 @@ def _spec_from_args(args, digits: int) -> GridSpec:
                             ("--tol", args.tol != DEFAULT_BOUNDARY_TOL)):
             if given:
                 raise InputError("{flag} needs --zeros; a set name or --modq ignores it", flag=flag)
+    if args.seed is not None and args.order != "random":
+        raise InputError("--seed needs --order random; no other ordering reads it")
     if args.name:
         return make_named_spec(args.name)
     if args.zeros:
@@ -296,6 +298,9 @@ def cmd_zeta(args, digits: int) -> None:
 def _load_table(args):
     from .zeros import parse_zero_file, reorder, reorder_external_weights
 
+    for flag, given, mode in (("--seed", args.seed, "random"), ("--weights", args.weights, "external")):
+        if given is not None and args.mode != mode:
+            raise InputError("{flag} needs --mode {mode}; no other mode reads it", flag=flag, mode=mode)
     table = parse_zero_file(args.file)
     if args.mode == "external":
         if not args.weights:

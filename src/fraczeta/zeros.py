@@ -49,7 +49,7 @@ class ZeroTable:
 class DigitEntry:
     n: int  # 1-based position in the table ordering
     gamma: str  # source text of the ordinate
-    t: object  # frac(gamma / 2pi) as an mpmath.mpf at the working precision
+    t: object  # frac(gamma / 2pi) as an mpmath.mpf, exact from the twice-rounded quotient
     a: int  # floor(4t), in 0..3
     boundary_flag: bool
 
@@ -139,6 +139,30 @@ def parse_zero_file(path) -> ZeroTable:
     )
 
 
+def _round(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """man * 2**exp, for man > 0, rounded to ``prec`` bits with ties to even, as ``from_int`` rounds."""
+    n = man.bit_length() - prec
+    if n <= 0:
+        return man, exp
+    half = 1 << (n - 1)
+    low = man & ((half << 1) - 1)
+    man >>= n
+    if low > half or (low == half and man & 1):
+        man += 1
+    return man, exp + n
+
+
+def _quotient(num: int, num_exp: int, den: int, den_exp: int, prec: int) -> tuple[int, int]:
+    """(num * 2**num_exp) / (den * 2**den_exp) correctly rounded to ``prec`` bits, ties to even."""
+    shift = prec + 2 - num.bit_length() + den.bit_length()
+    if shift < 0:
+        shift = 0
+    quot, rem = divmod(num << shift, den)
+    if rem:  # quot has at least prec + 2 bits, so a sticky low bit rounds as the exact tail would
+        quot |= 1
+    return _round(quot, num_exp - den_exp - shift, prec)
+
+
 def digitize(
     table: ZeroTable,
     precision_digits: int = DEFAULT_PRECISION_DIGITS,
@@ -146,19 +170,22 @@ def digitize(
 ) -> DigitSequence:
     """Base-4 digits a_n = floor(4 * frac(gamma_n / 2pi)) at a stated precision.
 
-    Only x = gamma / 2pi is rounded: it is the quotient numerator /
-    denominator / 2pi, taken in mpmath at the working precision with
-    round-to-nearest.  Everything after is read exactly off x's integer
-    mantissa: the bits below the binary point give t, the next two give a,
-    and the rest give the distance from 4t to the nearest integer.  So t is
-    x - floor(x) without rounding, and t < 1 always holds.
+    Only x = gamma / 2pi is rounded, in two integer steps at the working
+    precision with round-to-nearest-even: numerator and denominator are
+    each rounded to ``prec`` bits and their quotient is rounded (``_round``,
+    ``_quotient``), then that quotient divided by 2pi is rounded.  Each step
+    gives the one correctly rounded value, so x has the bits mpmath's
+    ``from_int`` and ``mpf_div`` would give.  Everything after is read
+    exactly off x's integer mantissa: the bits below the binary point give
+    t, the next two give a, and the rest give the distance from 4t to the
+    nearest integer.  So t is x - floor(x) without rounding, and t < 1
+    always holds.
 
     An entry is boundary-flagged when that exact distance is below the
     exact value of the double ``boundary_tol``; those digits are the ones
     an input truncated at fewer decimals could flip.
     """
     from mpmath import mp  # only digitizing needs mpmath, so a reorder does not load it
-    from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
     check_precision(precision_digits, MIN_DIGITIZE_DPS)
     if not 0 < boundary_tol < math.inf:
@@ -166,20 +193,22 @@ def digitize(
     tol_num, tol_den = Fraction(boundary_tol).as_integer_ratio()
     entries = []
     with mp.workdps(precision_digits):
-        prec, rnd = mp.prec, round_nearest
-        two_pi = (2 * mp.pi)._mpf_
+        prec, make_mpf = mp.prec, mp.make_mpf
+        _, pi_man, pi_exp, _ = (2 * mp.pi)._mpf_
         for i, (gamma, text) in enumerate(zip(table.gammas, table.gamma_strings), start=1):
-            ratio = mpf_div(from_int(gamma.numerator, prec, rnd), from_int(gamma.denominator, prec, rnd), prec, rnd)
-            _, man, exp, _ = mpf_div(ratio, two_pi, prec, rnd)  # x = man * 2**exp > 0
+            ratio = _quotient(*_round(gamma.numerator, 0, prec), *_round(gamma.denominator, 0, prec), prec)
+            man, exp = _quotient(*ratio, pi_man, pi_exp, prec)  # x = man * 2**exp > 0
             bits = max(-exp, 0)  # fraction bits of x; none when x is an integer
             one = 1 << bits
             frac = man & (one - 1)  # t = frac / 2**bits
             a, rest = divmod(frac << 2, one)  # 4t = a + rest / 2**bits
             distance = min(rest, one - rest)  # |4t - nint(4t)| * 2**bits
-            entries.append(DigitEntry(
-                n=i, gamma=text, t=mp.make_mpf(from_man_exp(frac, exp)), a=int(a),
-                boundary_flag=bool(distance * tol_den < tol_num << bits),
-            ))
+            if frac:  # t as mpmath's normalised tuple: an odd mantissa
+                zeros = (frac & -frac).bit_length() - 1
+                t = make_mpf((0, frac >> zeros, exp + zeros, frac.bit_length() - zeros))
+            else:
+                t = mp.zero
+            entries.append(DigitEntry(i, text, t, int(a), bool(distance * tol_den < tol_num << bits)))
     return DigitSequence(
         entries=tuple(entries),
         precision_digits=precision_digits,

@@ -563,6 +563,17 @@ EXIT_CASES = [
                  id="construct pess --depth 1 --tol=x...x (4000 characters)"),
     pytest.param(["construct", "pess", "--depth", "1", "--tol", "\x01" * 4000], {}, 2,
                  id="construct pess --depth 1 --tol \\x01...\\x01 (4000 characters)"),
+    # --seed acts only on a random ordering and --weights only on an external one; elsewhere they would be
+    # recorded as if they had acted
+    (["construct", "--zeros", "ZEROS", "--depth", "2", "--seed", "4"], {}, InputError.exit_code),
+    (["dimension", "--zeros", "ZEROS", "--method", "boxcount", "--depth", "3", "--order", "standard", "--seed", "4"],
+     {}, InputError.exit_code),
+    (["zeros", "digitize", "--file", "ZEROS", "--mode", "standard", "--seed", "9"], {}, InputError.exit_code),
+    (["zeros", "stats", "--file", "ZEROS", "--seed", "9"], {}, InputError.exit_code),
+    (["zeros", "reorder", "--file", "ZEROS", "--mode", "random", "--seed", "3", "--weights", "ZEROS"], {},
+     InputError.exit_code),
+    (["construct", "--zeros", "ZEROS", "--depth", "2", "--order", "random", "--seed", "4"], {}, 0),
+    (["zeros", "digitize", "--file", "ZEROS", "--mode", "random", "--seed", "9", "--format", "json"], {}, 0),
 ]
 
 # an error exit is reached within this many seconds
@@ -655,6 +666,25 @@ def test_zero_file_flags_need_a_zero_file(capsys, monkeypatch, tmp_path, argv, f
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--out", "out.json"]) == InputError.exit_code
     assert capsys.readouterr() == ("", f"error: {flag} needs --zeros; a set name or --modq ignores it\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["construct", "--zeros", "ZEROS", "--depth", "2", "--seed", "4"],
+         "--seed needs --order random; no other ordering reads it"),
+        (["zeros", "digitize", "--file", "ZEROS", "--mode", "standard", "--seed", "9"],
+         "--seed needs --mode random; no other mode reads it"),
+        (["zeros", "reorder", "--file", "ZEROS", "--weights", "ZEROS"],
+         "--weights needs --mode external; no other mode reads it"),
+    ],
+)
+def test_ordering_flags_need_the_ordering_that_reads_them(capsys, monkeypatch, tmp_path, zeros_path, argv, message):
+    monkeypatch.chdir(tmp_path)
+    argv = [str(zeros_path) if a == "ZEROS" else a for a in argv]
+    assert main([*argv, "--out", "out.txt"]) == InputError.exit_code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -6,6 +6,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_div, round_nearest
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,8 @@ from fraczeta.errors import CapacityError, FraczetaError, InputError, ParseError
 from fraczeta.zeros import (
     ZeroTable,
     _data_lines,
+    _quotient,
+    _round,
     digit_stats,
     digitize,
     parse_zero_file,
@@ -266,6 +269,43 @@ def test_digitize_matches_the_mpmath_reference(gammas, precision_digits, boundar
     got = [(e.t._mpf_, e.a, e.boundary_flag) for e in seq]
     assert got == reference_digits(table, precision_digits, boundary_tol)
     assert all(type(e.a) is int and type(e.boundary_flag) is bool for e in seq)
+
+
+def test_digitize_at_the_precision_cap_matches_the_mpmath_reference(zero_table):
+    seq = digitize(zero_table, MAX_PRECISION_DIGITS)
+    got = [(e.t._mpf_, e.a, e.boundary_flag) for e in seq]
+    assert got == reference_digits(zero_table, MAX_PRECISION_DIGITS, seq.boundary_tol)
+
+
+@st.composite
+def rounding_cases(draw):
+    """(prec, num, num_exp, den, den_exp): operands for the helpers at a precision digitize accepts."""
+    prec = dps_to_prec(draw(st.sampled_from([40, 50, 100, 300, 1000])))
+    kept = st.integers(2 ** (prec - 1), 2**prec - 1)
+    # a 1 just past the last kept bit: exactly halfway between two prec-bit neighbours
+    tie = st.builds(lambda k, zeros: (2 * k + 1) << zeros, kept, st.integers(0, 70))
+    wide = st.integers(1, 2 ** (prec + 200))  # narrower or wider than prec
+    num = draw(st.one_of(wide, tie))
+    kind = draw(st.sampled_from(["any", "power of two", "exact"]))
+    if kind == "power of two":  # a tie numerator gives a tie quotient
+        den = 1 << draw(st.integers(0, 1400))
+    elif kind == "exact":
+        den = draw(wide)
+        num = den * draw(st.one_of(kept, tie))
+    else:
+        den = draw(st.one_of(wide, tie))
+    exps = st.integers(-1400, 1400)
+    return prec, num, draw(exps), den, draw(exps)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rounding_cases())
+def test_rounding_helpers_match_from_int_and_mpf_div(case):
+    prec, num, num_exp, den, den_exp = case
+    assert from_man_exp(*_round(num, 0, prec)) == from_int(num, prec, round_nearest)
+    assert from_man_exp(*_round(num, num_exp, prec)) == from_man_exp(num, num_exp, prec, round_nearest)
+    quotient = mpf_div(from_man_exp(num, num_exp), from_man_exp(den, den_exp), prec, round_nearest)
+    assert from_man_exp(*_quotient(num, num_exp, den, den_exp, prec)) == quotient
 
 
 class TestReorder:
