@@ -4,9 +4,11 @@ Zero files are plain text, one positive decimal per line, '#' comments
 allowed.  Values are parsed as exact rationals (never through a binary
 float), so reordering and comparisons are exact and the digitization
 t = frac(gamma / 2pi), a = floor(4t) can be recomputed at any working
-precision from the same source digits.  Because published ordinates are
-truncated decimals, every digit carries a boundary flag marking how
-close 4t came to an integer, where floor() is discontinuous.
+precision from the same source digits.  gamma / 2pi is rounded twice, in
+integer arithmetic with round-to-nearest-even: numerator / denominator,
+then that quotient / 2pi.  Because published ordinates are truncated
+decimals, every digit carries a boundary flag marking how close 4t came
+to an integer, where floor() is discontinuous.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class ZeroTable:
 class DigitEntry:
     n: int  # 1-based position in the table ordering
     gamma: str  # source text of the ordinate
-    t: object  # frac(gamma / 2pi) as an mpmath.mpf, exact from the twice-rounded quotient
+    t: object  # frac(x) as an exact mpmath.mpf, x = gamma / 2pi rounded twice in integers (see digitize)
     a: int  # floor(4t), in 0..3
     boundary_flag: bool
 
@@ -171,11 +173,11 @@ def digitize(
     """Base-4 digits a_n = floor(4 * frac(gamma_n / 2pi)) at a stated precision.
 
     Only x = gamma / 2pi is rounded, in two integer steps at the working
-    precision with round-to-nearest-even: numerator and denominator are
-    each rounded to ``prec`` bits and their quotient is rounded (``_round``,
-    ``_quotient``), then that quotient divided by 2pi is rounded.  Each step
-    gives the one correctly rounded value, so x has the bits mpmath's
-    ``from_int`` and ``mpf_div`` would give.  Everything after is read
+    precision with round-to-nearest-even (``_round``, ``_quotient``): the
+    numerator and the denominator are each rounded to ``prec`` bits and
+    their quotient is rounded, then that quotient divided by 2pi is
+    rounded.  A correctly rounded value is unique, so x has the bits
+    mpmath's ``from_int`` and ``mpf_div`` give.  Everything after is read
     exactly off x's integer mantissa: the bits below the binary point give
     t, the next two give a, and the rest give the distance from 4t to the
     nearest integer.  So t is x - floor(x) without rounding, and t < 1
@@ -194,20 +196,17 @@ def digitize(
     entries = []
     with mp.workdps(precision_digits):
         prec, make_mpf = mp.prec, mp.make_mpf
-        _, pi_man, pi_exp, _ = (2 * mp.pi)._mpf_
+        _, two_pi_man, two_pi_exp, _ = (2 * mp.pi)._mpf_
         for i, (gamma, text) in enumerate(zip(table.gammas, table.gamma_strings), start=1):
             ratio = _quotient(*_round(gamma.numerator, 0, prec), *_round(gamma.denominator, 0, prec), prec)
-            man, exp = _quotient(*ratio, pi_man, pi_exp, prec)  # x = man * 2**exp > 0
+            man, exp = _quotient(*ratio, two_pi_man, two_pi_exp, prec)  # x = man * 2**exp > 0
             bits = max(-exp, 0)  # fraction bits of x; none when x is an integer
             one = 1 << bits
             frac = man & (one - 1)  # t = frac / 2**bits
             a, rest = divmod(frac << 2, one)  # 4t = a + rest / 2**bits
             distance = min(rest, one - rest)  # |4t - nint(4t)| * 2**bits
-            if frac:  # t as mpmath's normalised tuple: an odd mantissa
-                zeros = (frac & -frac).bit_length() - 1
-                t = make_mpf((0, frac >> zeros, exp + zeros, frac.bit_length() - zeros))
-            else:
-                t = mp.zero
+            trailing = (frac & -frac).bit_length() - 1  # t as mpmath's normalised tuple: an odd mantissa, or zero
+            t = make_mpf((0, frac >> trailing, exp + trailing, frac.bit_length() - trailing)) if frac else mp.zero
             entries.append(DigitEntry(i, text, t, int(a), bool(distance * tol_den < tol_num << bits)))
     return DigitSequence(
         entries=tuple(entries),
